@@ -1,8 +1,14 @@
 """Typed expression trees over morphisms: compose, tensor, evaluate.
 
-Evaluation is functorial and exact: composition multiplies matrices, tensor
-takes Kronecker products, and tensor words are flat (left-nested) so both
-sides of a diagrammatic equation can be built verbatim and compared entry by
+Evaluation is functorial and exact.  A tree is typed node by node first, then
+applied from right to left to the identity columns of its source word: a
+primitive multiplies the current column block on its own tensor legs
+(``Matrix.kron_apply``), an identity passes it through, and a tensor applies
+its left factor on the leading legs and then its right factor on the trailing
+ones.  No Kronecker product is formed: every intermediate block has one
+column per basis vector of the source word and one row per basis vector of
+the word it has reached.  Tensor words are flat (left-nested) so both sides
+of a diagrammatic equation can be built verbatim and compared entry by
 entry.  A small textual syntax for the CLI names the standard primitives
 (ev, coev, evt, coevt, id, lamL, lamR, cL, cR, cSph); ``;`` composes in the
 written operator order (the leftmost factor is applied last) and ``*``
@@ -141,36 +147,52 @@ def _field_of(expr: MorphismExpr):
     if isinstance(expr, Prim):
         return expr.morphism.matrix.field
     if isinstance(expr, Ident):
-        word = expr.word
-        if word:
-            return word[0].H.field
-        raise MorphismTypeError("identity on the empty word needs context")
+        return expr.word[0].H.field
     return _field_of(expr.f)
 
 
-def evaluate(expr: MorphismExpr) -> Morphism:
-    """Evaluate an expression tree to a single Morphism, checking types."""
+def _check_types(expr: MorphismExpr):
+    """Type every node before any arithmetic."""
     if isinstance(expr, Prim):
-        return expr.morphism
+        return
     if isinstance(expr, Ident):
-        field = _field_of(expr)
-        return Morphism(expr.word, expr.word,
-                        Matrix.identity(field, word_dim(expr.word)))
+        if not expr.word:
+            raise MorphismTypeError("identity on the empty word needs context")
+        return
+    if not isinstance(expr, (Compose, Tensor)):
+        raise MorphismTypeError(f"unknown expression node {expr!r}")
+    _check_types(expr.f)
+    _check_types(expr.g)
+    if isinstance(expr, Compose) and \
+            not words_match(expr.f.source_word(), expr.g.target_word()):
+        raise MorphismTypeError(
+            f"cannot compose: {expr.f!r} expects {word_label(expr.f.source_word())} "
+            f"but {expr.g!r} produces {word_label(expr.g.target_word())}"
+        )
+
+
+def _apply(expr: MorphismExpr, block: Matrix, outer: int, inner: int) -> Matrix:
+    """``(I_outer ox matrix(expr) ox I_inner) @ block`` for a typed tree."""
+    if isinstance(expr, Prim):
+        return expr.morphism.matrix.kron_apply(block, outer, inner)
+    if isinstance(expr, Ident):
+        return block
     if isinstance(expr, Compose):
-        fm = evaluate(expr.f)
-        gm = evaluate(expr.g)
-        if not words_match(fm.source, gm.target):
-            raise MorphismTypeError(
-                f"cannot compose: {expr.f!r} expects {word_label(fm.source)} "
-                f"but {expr.g!r} produces {word_label(gm.target)}"
-            )
-        return Morphism(gm.source, fm.target, fm.matrix @ gm.matrix)
-    if isinstance(expr, Tensor):
-        fm = evaluate(expr.f)
-        gm = evaluate(expr.g)
-        return Morphism(fm.source + gm.source, fm.target + gm.target,
-                        fm.matrix.kron(gm.matrix))
-    raise MorphismTypeError(f"unknown expression node {expr!r}")
+        return _apply(expr.f, _apply(expr.g, block, outer, inner), outer, inner)
+    block = _apply(expr.f, block, outer, word_dim(expr.g.source_word()) * inner)
+    return _apply(expr.g, block, outer * word_dim(expr.f.target_word()), inner)
+
+
+def evaluate(expr: MorphismExpr) -> Morphism:
+    """Evaluate an expression tree to a single Morphism, checking types.
+
+    The result is the exact matrix of the composite, decided on every column
+    of its source word.
+    """
+    _check_types(expr)
+    source = expr.source_word()
+    columns = Matrix.identity(_field_of(expr), word_dim(source))
+    return Morphism(source, expr.target_word(), _apply(expr, columns, 1, 1))
 
 
 def morphisms_equal(f: Morphism, g: Morphism) -> bool:
@@ -292,9 +314,11 @@ class _Parser:
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def eat(self, tok: str | None = None) -> str:
+    def eat(self, tok: str | None = None, what: str | None = None) -> str:
+        """Consume ``tok`` (or any token, described by ``what``)."""
         if self.pos >= len(self.tokens):
-            raise ExprSyntaxError(f"unexpected end of expression, wanted {tok!r}")
+            raise ExprSyntaxError(
+                f"unexpected end of expression, wanted {what or repr(tok)}")
         cur = self.tokens[self.pos]
         if tok is not None and cur != tok:
             raise ExprSyntaxError(f"expected {tok!r}, got {cur!r}")
@@ -328,12 +352,12 @@ class _Parser:
             inner = self.expr()
             self.eat(")")
             return inner
-        name = self.eat()
+        name = self.eat(what="a primitive name or '('")
         mods: list[HModule] = []
         if self.peek() == "(":
             self.eat("(")
             if self.peek() != ")":
-                mods.append(self.module_expr())
+                mods.append(self.module_expr("a module name or ')'"))
                 while self.peek() == ",":
                     self.eat(",")
                     mods.append(self.module_expr())
@@ -341,8 +365,8 @@ class _Parser:
             return self.env.primitive(name, mods)
         return self.env.primitive(name, mods)
 
-    def module_expr(self) -> HModule:
-        name = self.eat()
+    def module_expr(self, what: str = "a module name") -> HModule:
+        name = self.eat(what=what)
         if name in ("ld", "rd"):
             self.eat("(")
             inner = self.module_expr()

@@ -8,8 +8,9 @@ indices; the direct 4-leg reading is also assembled as a cross-check.  Both
 extend to any projective P through a retract family {f_i: P -> H, g_i: H -> P}
 with sum g_i f_i = id_P, produced here by splitting H-linear idempotents.
 
-``verify_chromatic_identity`` builds the full defining composite with the
-morphism calculus and compares it with the identity, entry by entry.
+``verify_chromatic_identity`` evaluates the defining composite with the
+morphism calculus, on every column of its source word, and compares it with
+the identity, entry by entry.
 """
 
 from __future__ import annotations
@@ -388,10 +389,13 @@ class ChromaticReport:
 def verify_chromatic_identity(H: HopfAlgebra, data: IntegralData, c: Morphism,
                               P: HModule, X: HModule, side: str,
                               pivot: PivotData | None = None) -> ChromaticReport:
-    """Build the defining composite for ``side`` and compare with the identity.
+    """Evaluate the defining composite for ``side`` and compare with the identity.
 
     G is the regular module (the projective generator).  ``c`` must be a
-    chromatic map of the matching type based at P.
+    chromatic map of the matching type based at P.  The composite is applied
+    factor by factor to all dim(X ox P) identity columns (``evaluate``), so
+    every column is decided, and no ``id ox f ox id`` over the four-leg word
+    is formed as a Kronecker product.
     """
     t0 = time.perf_counter()
     G = regular_module(H)

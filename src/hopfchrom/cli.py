@@ -300,9 +300,13 @@ def cmd_check(args) -> int:
             base = chromatic_right_hopf(H, data)
         if args.inject_fault is not None:
             r, c = args.inject_fault
+            nrows, ncols = base.matrix.shape
+            if not (0 <= r < nrows and 0 <= c < ncols):
+                raise HopfDataError(
+                    f"--inject-fault {r},{c} is outside the {nrows}x{ncols} "
+                    f"{side} chromatic matrix")
             bumped = base.matrix + Matrix.from_entries(
-                H.field, base.matrix.nrows, base.matrix.ncols,
-                {(r, c): H.field.one})
+                H.field, nrows, ncols, {(r, c): H.field.one})
             base = Morphism(base.source, base.target, bumped)
             # a chromatic map is an H-mod morphism; a fault may break that
             # even when every grid identity still holds

@@ -1,5 +1,9 @@
 """Exact dense linear algebra over a Field: RREF, nullspace, solve, Kronecker.
 
+``Matrix.kron`` builds a Kronecker product; ``Matrix.kron_apply`` applies one
+without building it, as ``(I kron A kron I) @ B`` on the rows of ``B``.  Both
+use the same row-major flat indexing of tensor legs.
+
 Matrices have dense semantics (every entry addressable, shapes fixed) but are
 held sparsely as one ``{col: payload}`` dict per row; only nonzero payloads
 are stored.  All algorithms are field-exact and deterministic: Gaussian
@@ -290,6 +294,49 @@ class Matrix:
                     for l, b in brow.items():
                         out[base_j + l] = mul(a, b)
         return Matrix(f, self.nrows * rb, self.ncols * cb, rows)
+
+    def kron_apply(self, block: "Matrix", outer: int, inner: int) -> "Matrix":
+        """``(I_outer kron self kron I_inner) @ block``, never forming the product.
+
+        Row ``(o*ncols + k)*inner + t`` of ``block`` is sent to the rows
+        ``(o*nrows + i)*inner + t`` with coefficient ``self[i, k]``: the same
+        row-major flat indexing as :meth:`kron`.  Only the nonzero rows of
+        ``block`` are visited, so the cost follows nnz(block), not the side
+        of the Kronecker product.
+        """
+        self._check_peer(block)
+        ra, ca = self.nrows, self.ncols
+        if block.nrows != outer * ca * inner:
+            raise ShapeError(
+                f"kron_apply of {self.shape} between I_{outer} and I_{inner} "
+                f"to {block.shape}")
+        f = self.field
+        mul, add, zero = f.mul, f.add, f.zero
+        by_col = [[] for _ in range(ca)]  # k -> [(i, self[i, k])]
+        for i, arow in enumerate(self._rows):
+            for k, a in arow.items():
+                by_col[k].append((i, a))
+        src_stride, dst_stride = ca * inner, ra * inner
+        rows = [{} for _ in range(outer * dst_stride)]
+        for r, brow in enumerate(block._rows):
+            if not brow:
+                continue
+            o, rest = divmod(r, src_stride)
+            k, t = divmod(rest, inner)
+            base = o * dst_stride + t
+            for i, a in by_col[k]:
+                acc = rows[base + i * inner]
+                for j, b in brow.items():
+                    v = mul(a, b)
+                    if j in acc:
+                        s = add(acc[j], v)
+                        if s == zero:
+                            del acc[j]
+                        else:
+                            acc[j] = s
+                    elif v != zero:
+                        acc[j] = v
+        return Matrix(f, outer * dst_stride, block.ncols, rows)
 
     # -- elimination ---------------------------------------------------------
     def rref(self):

@@ -1,10 +1,41 @@
-"""Test-side helpers: dense tensor access, mutations, and an independent
+"""Test-side helpers: dense tensor access, mutations, an independent
 loop-based axiom oracle (deliberately *not* the library's matrix-identity
-formulation, so axiom names reported by hopf_make can be cross-checked)."""
+formulation, so axiom names reported by hopf_make can be cross-checked), and
+a Kronecker-product evaluator of expression trees, the reference for
+``calculus.evaluate``."""
 
 from __future__ import annotations
 
-from hopfchrom import HopfAlgebra
+from hopfchrom import HopfAlgebra, Matrix, Morphism, MorphismTypeError
+from hopfchrom.calculus import Compose, Ident, Prim, Tensor
+from hopfchrom.hmod import word_dim, word_label, words_match
+
+
+def kron_evaluate(expr) -> Morphism:
+    """Reference evaluation: compose multiplies matrices, tensor takes
+    Kronecker products, so every ``id ox f ox id`` is built in full."""
+    if isinstance(expr, Prim):
+        return expr.morphism
+    if isinstance(expr, Ident):
+        if not expr.word:
+            raise MorphismTypeError("identity on the empty word needs context")
+        return Morphism(expr.word, expr.word,
+                        Matrix.identity(expr.word[0].H.field, word_dim(expr.word)))
+    if isinstance(expr, Compose):
+        fm = kron_evaluate(expr.f)
+        gm = kron_evaluate(expr.g)
+        if not words_match(fm.source, gm.target):
+            raise MorphismTypeError(
+                f"cannot compose: {expr.f!r} expects {word_label(fm.source)} "
+                f"but {expr.g!r} produces {word_label(gm.target)}"
+            )
+        return Morphism(gm.source, fm.target, fm.matrix @ gm.matrix)
+    if isinstance(expr, Tensor):
+        fm = kron_evaluate(expr.f)
+        gm = kron_evaluate(expr.g)
+        return Morphism(fm.source + gm.source, fm.target + gm.target,
+                        fm.matrix.kron(gm.matrix))
+    raise MorphismTypeError(f"unknown expression node {expr!r}")
 
 
 def dense_tensors(H: HopfAlgebra):

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from helpers import kron_evaluate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,9 +18,9 @@ from hopfchrom import (
     regular_module,
     trivial_module,
 )
-from hopfchrom.calculus import Prim, compose, identity, tensor
+from hopfchrom.calculus import Compose, Ident, Prim, Tensor, compose, identity, tensor
 from hopfchrom.chromatic import chromatic_left_hopf
-from hopfchrom.hmod import evaluation_morphisms
+from hopfchrom.hmod import dual_module, evaluation_morphisms, word_dim
 
 
 def test_zigzag_composite_is_identity(h4):
@@ -37,13 +40,25 @@ def test_tensor_of_identities(h4):
     assert got.matrix == Matrix.identity(h4.field, 16)
 
 
-def test_type_mismatch_reports_words(h4):
+def test_type_mismatch_reports_words(h4, monkeypatch):
     reg = regular_module(h4)
     triv = trivial_module(h4)
     expr = compose(identity((triv,)), identity((reg,)))
     with pytest.raises(MorphismTypeError) as err:
         evaluate(expr)
     assert "triv" in str(err.value) and "H" in str(err.value)
+
+    def no_arithmetic(*args):
+        raise AssertionError("arithmetic before the tree was typed")
+
+    # the well-typed right factor would be applied first if typing were lazy
+    monkeypatch.setattr(Matrix, "kron_apply", no_arithmetic)
+    ev, coev, _, _ = evaluation_morphisms(reg)
+    expr = compose(tensor(identity((triv,)), Prim(ev)),
+                   tensor(Prim(coev), identity((reg,))))
+    with pytest.raises(MorphismTypeError) as err:
+        evaluate(expr)
+    assert "triv*ld(H)*H" in str(err.value) and "H*ld(H)*H" in str(err.value)
 
 
 def test_morphisms_equal(h4):
@@ -112,6 +127,9 @@ def test_parse_expr_errors(z2):
         parse_expr("ev(H) @ id(H)", env)
     with pytest.raises(ExprSyntaxError):
         parse_expr("ev(H, H)", env)
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("cL(", env)
+    assert "wanted a module name or ')'" in str(err.value)
 
 
 def test_evaluate_functoriality(h4):
@@ -135,4 +153,41 @@ def test_parse_expr_right_identity_and_spherical(z2):
     from hopfchrom.chromatic import chromatic_spherical
     got = evaluate(parse_expr("cSph", env))
     want = chromatic_spherical(z2, env.data, env.pivot)
+    assert got.matrix == want.matrix
+
+
+def _random_tree(draw, mods, source, depth):
+    """A well-typed random tree on ``source``; primitives get seeded random
+    sparse matrices, so the evaluators see cancellation and zero rows."""
+    kinds = ["prim"] + (["ident"] if source else []) + \
+        (["compose", "tensor"] if depth else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "ident":
+        return Ident(source)
+    if kind == "compose":
+        g = _random_tree(draw, mods, source, depth - 1)
+        return Compose(_random_tree(draw, mods, g.target_word(), depth - 1), g)
+    if kind == "tensor":
+        cut = draw(st.integers(min_value=0, max_value=len(source)))
+        return Tensor(_random_tree(draw, mods, source[:cut], depth - 1),
+                      _random_tree(draw, mods, source[cut:], depth - 1))
+    target = tuple(draw(st.lists(st.sampled_from(mods), max_size=2)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
+    field = mods[0].H.field
+    entries = {(i, j): rng.randint(-2, 2)
+               for i in range(word_dim(target)) for j in range(word_dim(source))
+               if rng.random() < 0.4}
+    return Prim(Morphism(source, target, Matrix.from_entries(
+        field, word_dim(target), word_dim(source), entries)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_evaluate_matches_kronecker_reference_on_random_trees(h4, data):
+    reg = regular_module(h4)
+    mods = [reg, trivial_module(h4), dual_module(reg, "left")]
+    source = tuple(data.draw(st.lists(st.sampled_from(mods), max_size=2)))
+    expr = _random_tree(data.draw, mods, source, depth=3)
+    got, want = evaluate(expr), kron_evaluate(expr)
+    assert got.source == want.source and got.target == want.target
     assert got.matrix == want.matrix

@@ -1,5 +1,9 @@
-import pytest
+import json
 
+import pytest
+from helpers import kron_evaluate
+
+import hopfchrom.chromatic as chromatic_mod
 from hopfchrom import (
     Matrix,
     Morphism,
@@ -23,6 +27,7 @@ from hopfchrom import (
     verify_chromatic_identity,
 )
 from hopfchrom.algebras import find_nontrivial_idempotent
+from hopfchrom.cli import main
 from hopfchrom.hopf import pairing
 
 
@@ -314,3 +319,60 @@ def test_larger_taft_instances_out_of_corpus():
     cr = chromatic_right_hopf(H, d)
     rep = verify_chromatic_identity(H, d, cr, G, regular_module(H), "right")
     assert rep.equal
+
+
+@pytest.mark.parametrize("argv, sides", [
+    (["--builtin", "sweedler", "--inject-fault", "0,15"], {"left", "right"}),
+    (["--builtin", "taft:3", "--field", "GF:7"], {"left", "right"}),
+    (["--builtin", "group:S3"], {"left", "right", "spherical"}),
+])
+def test_check_composites_match_kronecker_reference(argv, sides, capsys, monkeypatch):
+    """Every composite that ``check`` evaluates, in the grid and in the
+    retracts, equals the Kronecker-product reference exactly."""
+    evaluate = chromatic_mod.evaluate
+    seen = []
+
+    def compared(expr):
+        got, want = evaluate(expr), kron_evaluate(expr)
+        assert got.source == want.source and got.target == want.target
+        assert got.matrix == want.matrix
+        seen.append(expr)
+        return got
+
+    monkeypatch.setattr(chromatic_mod, "evaluate", compared)
+    main(["check", *argv, "--json"])
+    grid = json.loads(capsys.readouterr().out)["grid"]
+    assert {row["side"] for row in grid} == sides
+    assert {row["P"] for row in grid} == {"H", "split(H)"}
+    assert {row["X"] for row in grid} == {"triv", "H", "alpha"}
+    assert len(seen) > len(grid)  # the grid rows plus the retract terms
+
+
+def test_evaluate_builds_no_kronecker_product(t3, corpus_data, monkeypatch):
+    _, d = corpus_data["taft:3"]
+    G = regular_module(t3)
+    fam = split_idempotent(right_mult_idempotent(t3))
+    maps = {"left": chromatic_left_hopf(t3, d), "right": chromatic_right_hopf(t3, d)}
+    evaluate, kron = chromatic_mod.evaluate, Matrix.kron
+    inside = []
+    calls = {"inside": 0, "outside": 0, "evaluate": 0}
+
+    def tracked_evaluate(expr):
+        calls["evaluate"] += 1
+        inside.append(True)
+        try:
+            return evaluate(expr)
+        finally:
+            inside.pop()
+
+    def tracked_kron(self, other):
+        calls["inside" if inside else "outside"] += 1
+        return kron(self, other)
+
+    monkeypatch.setattr(chromatic_mod, "evaluate", tracked_evaluate)
+    monkeypatch.setattr(Matrix, "kron", tracked_kron)
+    for side, c in maps.items():
+        for P, c_P in ((G, c), (fam.P, chromatic_retract(t3, c, fam, side))):
+            assert verify_chromatic_identity(t3, d, c_P, P, G, side).equal
+    assert calls["evaluate"] > 4 and calls["outside"] > 0
+    assert calls["inside"] == 0

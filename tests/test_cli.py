@@ -106,6 +106,14 @@ def test_check_inject_fault(capsys):
     assert code == 1
     assert "NOT-EQUAL" in out and "first mismatch at" in out
 
+    # a position outside the matrix is an input error, not a failed check
+    for fault in ("99,99", "-1,0"):
+        code, out, err = run(capsys, "check", "--builtin", "group:Z2", "--side",
+                             "left", f"--inject-fault={fault}")
+        assert code == 2
+        assert "input error" in err and "4x4" in err
+        assert "Traceback" not in out + err
+
 
 def test_check_expr(capsys):
     code, out, _ = run(

@@ -101,6 +101,10 @@ def test_shape_and_field_errors():
         M([[1, 2]]) @ M([[1, 2]])
     with pytest.raises(Exception):
         M([[1]]) @ Matrix.from_rows(F7, [[1]])
+    with pytest.raises(ShapeError):
+        M([[1, 2], [3, 4]]).kron_apply(Matrix.identity(Q, 5), 1, 2)
+    with pytest.raises(Exception):
+        M([[1]]).kron_apply(Matrix.from_rows(F7, [[1]]), 1, 1)
 
 
 def test_first_difference():
@@ -163,3 +167,15 @@ def test_solve_consistency(data):
     b = A.apply(x)
     got = A.solve(b)
     assert A.apply(got) == b
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_kron_apply_matches_kronecker_product(data):
+    f = F7
+    dims = st.integers(min_value=1, max_value=3)
+    outer, inner, ra, ca, width = (data.draw(dims) for _ in range(5))
+    A = rand_matrix(data.draw, ra, ca, f)
+    B = rand_matrix(data.draw, outer * ca * inner, width, f)
+    full = Matrix.identity(f, outer).kron(A).kron(Matrix.identity(f, inner))
+    assert A.kron_apply(B, outer, inner) == full @ B
