@@ -36,7 +36,7 @@ from .hmod import (
     word_label,
     words_match,
 )
-from .hopf import HopfAlgebra
+from .hopf import HopfAlgebra, pairing
 from .integrals import (
     IntegralData,
     PivotData,
@@ -65,21 +65,11 @@ class NotSphericalError(ValueError):
     """Spherical chromatic data requested for a non-spherical algebra."""
 
 
-def _lambda_pair_table(H: HopfAlgebra, lam: list) -> list[list]:
-    """Table ``t[i][j] = lambda(S(e_i) e_j)``."""
-    f = H.field
-    n = H.dim
-    out = [[f.zero] * n for _ in range(n)]
-    for i in range(n):
-        s_i = H.antipode_vector(i)
-        for j in range(n):
-            prod = H.multiply(s_i, H.basis_vector(j))
-            acc = f.zero
-            for k, v in enumerate(prod):
-                if v != f.zero and lam[k] != f.zero:
-                    acc = f.add(acc, f.mul(lam[k], v))
-            out[i][j] = acc
-    return out
+def _lambda_pair_table(H: HopfAlgebra, lam: list, rs: list | None = None) -> list[list]:
+    """Table ``t[i][x] = lambda(S(e_i) r_x)``, with ``r_x = e_x`` by default."""
+    rs = rs or [H.basis_vector(x) for x in range(H.dim)]
+    return [[pairing(H.field, lam, H.multiply(H.antipode_vector(i), r)) for r in rs]
+            for i in range(H.dim)]
 
 
 def chromatic_left_hopf(H: HopfAlgebra, data: IntegralData | None = None,
@@ -108,11 +98,7 @@ def chromatic_left_hopf(H: HopfAlgebra, data: IntegralData | None = None,
                 if v == f.zero:
                     continue
                 key = (row, x * n + y)
-                t = f.add(entries.get(key, f.zero), f.mul(ca, v))
-                if t == f.zero:
-                    entries.pop(key, None)
-                else:
-                    entries[key] = t
+                entries[key] = f.add(entries.get(key, f.zero), f.mul(ca, v))
     mor = Morphism((Gll, G), (alpha_mod, G, G),
                    Matrix.from_entries(f, n * n, n * n, entries))
     if check and not is_h_linear(mor):
@@ -170,11 +156,7 @@ def chromatic_right_printed(H: HopfAlgebra, data: IntegralData | None = None) ->
                 if v == f.zero:
                     continue
                 key = (row, y * n + x)
-                t = f.add(entries.get(key, f.zero), f.mul(ca, v))
-                if t == f.zero:
-                    entries.pop(key, None)
-                else:
-                    entries[key] = t
+                entries[key] = f.add(entries.get(key, f.zero), f.mul(ca, v))
     return Morphism((G, Grr), (G, G, alpha_mod),
                     Matrix.from_entries(f, n * n, n * n, entries))
 
@@ -197,19 +179,9 @@ def chromatic_spherical(H: HopfAlgebra, data: IntegralData | None = None,
     f = H.field
     n = H.dim
     G = regular_module(H)
-    lam = data.right_integral
     # table[i][x] = lambda(S(e_i) g e_x)
-    gx = [H.multiply(pivot.g, H.basis_vector(x)) for x in range(n)]
-    table = [[f.zero] * n for _ in range(n)]
-    for i in range(n):
-        s_i = H.antipode_vector(i)
-        for x in range(n):
-            prod = H.multiply(s_i, gx[x])
-            acc = f.zero
-            for k, v in enumerate(prod):
-                if v != f.zero and lam[k] != f.zero:
-                    acc = f.add(acc, f.mul(lam[k], v))
-            table[i][x] = acc
+    table = _lambda_pair_table(H, data.right_integral,
+                               [H.multiply(pivot.g, H.basis_vector(x)) for x in range(n)])
     entries: dict = {}
     for y in range(n):
         legs = H.coproduct_iter(2, H.basis_vector(y))
@@ -221,11 +193,7 @@ def chromatic_spherical(H: HopfAlgebra, data: IntegralData | None = None,
                 if v == f.zero:
                     continue
                 key = (row, x * n + y)
-                t = f.add(entries.get(key, f.zero), f.mul(c, v))
-                if t == f.zero:
-                    entries.pop(key, None)
-                else:
-                    entries[key] = t
+                entries[key] = f.add(entries.get(key, f.zero), f.mul(c, v))
     mor = Morphism((G, G), (G, G), Matrix.from_entries(f, n * n, n * n, entries))
     if check and not is_h_linear(mor):
         raise ModuleAxiomError("spherical chromatic map failed the intertwiner check")

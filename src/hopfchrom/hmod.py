@@ -187,20 +187,12 @@ def words_match(a, b) -> bool:
 
 
 def word_action(H: HopfAlgebra, word, k: int) -> Matrix:
-    """Action of basis element ``e_k`` on a tensor word (iterated coproduct)."""
+    """Action of basis element ``e_k`` on a tensor word: ``word_element_action``
+    at ``e_k``, reading a single module's stored action matrix directly."""
     word = _as_word(word)
-    f = H.field
-    if not word:
-        return Matrix.from_rows(f, [[H.counit[k]]])
     if len(word) == 1:
         return word[0].action[k]
-    legs = H.coproduct_iter(len(word) - 1, H.basis_vector(k))
-    dim = word_dim(word)
-    acc = Matrix.zeros(f, dim, dim)
-    for key, c in legs.items():
-        mat = reduce(Matrix.kron, (m.action[i] for m, i in zip(word, key)))
-        acc = acc + mat.scale(c)
-    return acc
+    return word_element_action(H, word, H.basis_vector(k))
 
 
 def word_element_action(H: HopfAlgebra, word, a: list) -> Matrix:

@@ -125,6 +125,17 @@ def alpha_left_ideal(H: HopfAlgebra, alpha: list) -> Matrix:
     return _stacked_nullspace(blocks)
 
 
+def _lambda_legs(H: HopfAlgebra, lam: list, k: int) -> tuple[list, list]:
+    """``((lambda ox id) Delta(e_k), (id ox lambda) Delta(e_k))`` as dense vectors."""
+    f = H.field
+    right = H.zero_vector()
+    left = H.zero_vector()
+    for (p, q), c in H.comult[k].items():
+        right[q] = f.add(right[q], f.mul(c, lam[p]))
+        left[p] = f.add(left[p], f.mul(c, lam[q]))
+    return right, left
+
+
 def _check_integral_invariants(H: HopfAlgebra, data: IntegralData):
     f = H.field
     lam, Lam = data.right_integral, data.left_cointegral
@@ -138,11 +149,7 @@ def _check_integral_invariants(H: HopfAlgebra, data: IntegralData):
         if H.multiply(Lam, H.antipode_vector(i)) != vec_scale(f, alpha[i], Lam):
             raise HopfDataError(f"alpha characterization fails at basis {i}")
         # lambda(h_(1)) h_(2) = lambda(h) 1  and  lambda(h_(2)) h_(1) = lambda(h) a
-        right = H.zero_vector()
-        left = H.zero_vector()
-        for (p, q), c in H.comult[i].items():
-            right[q] = f.add(right[q], f.mul(c, lam[p]))
-            left[p] = f.add(left[p], f.mul(c, lam[q]))
+        right, left = _lambda_legs(H, lam, i)
         if right != vec_scale(f, lam[i], H.unit_vector()):
             raise HopfDataError(f"right integral condition fails at basis {i}")
         if left != vec_scale(f, lam[i], a):
@@ -183,9 +190,7 @@ def normalized_pair(H: HopfAlgebra) -> IntegralData:
     a = None
     vs = []
     for k in range(H.dim):
-        v = H.zero_vector()
-        for (i, j), c in H.comult[k].items():
-            v[i] = f.add(v[i], f.mul(c, lam[j]))
+        _, v = _lambda_legs(H, lam, k)
         vs.append(v)
         if a is None and lam[k] != f.zero:
             a = vec_scale(f, f.inv(lam[k]), v)
@@ -209,11 +214,10 @@ def is_unimodular(H: HopfAlgebra, data: IntegralData | None = None) -> bool:
 
 def _pivot_condition_failures(H: HopfAlgebra, data: IntegralData, v: list) -> list[str]:
     """Which of the three pivot conditions fail (empty list = valid pivot)."""
-    f = H.field
     fails = []
     if not H.is_grouplike(v):
         fails.append("grouplike")
-    S2 = H.antipode @ H.antipode
+    S2 = H.antipode_squared()
     ok = H.multiply(v, H.antipode_apply(v)) == H.unit_vector()
     for i in range(H.dim):
         if H.multiply(S2.col_list(i), v) != H.multiply(v, H.basis_vector(i)):
@@ -221,21 +225,16 @@ def _pivot_condition_failures(H: HopfAlgebra, data: IntegralData, v: list) -> li
             break
     if not ok:
         fails.append("conjugation")
-    lam = data.right_integral
-    vv = H.multiply(v, v)
-    for k in range(H.dim):
-        left = H.zero_vector()
-        for (i, j), c in H.comult[k].items():
-            left[i] = f.add(left[i], f.mul(c, lam[j]))
-        if left != vec_scale(f, lam[k], vv):
-            fails.append("unibalanced")
-            break
+    # lambda(h_(2)) h_(1) = lambda(h) g^2 for all h; normalized_pair verified
+    # lambda(h_(2)) h_(1) = lambda(h) a and lambda != 0, so this is g^2 = a
+    if H.multiply(v, v) != data.distinguished_grouplike:
+        fails.append("unibalanced")
     return fails
 
 
 def _intertwiner_space(H: HopfAlgebra) -> Matrix:
     """Nullspace of ``S^2(h) v = v h`` over all basis h."""
-    S2 = H.antipode @ H.antipode
+    S2 = H.antipode_squared()
     blocks = []
     for i in range(H.dim):
         blocks.append(H.element_left_mult(S2.col_list(i)) - H.right_mult_matrix(i))
@@ -398,14 +397,8 @@ def pivot_candidates(H: HopfAlgebra, data: IntegralData | None = None,
     if not complete and f.finite:
         points = f.characteristic() ** d
         if points <= exhaust_limit:
-            cols = [V.col_list(j) for j in range(d)]
-            for coeffs in product(f.elements(), repeat=d):
-                v = H.zero_vector()
-                for c, col in zip(coeffs, cols):
-                    if c != f.zero:
-                        for i in range(H.dim):
-                            v[i] = f.add(v[i], f.mul(c, col[i]))
-                candidates.append(v)
+            candidates.extend(V.apply(list(coeffs))
+                              for coeffs in product(f.elements(), repeat=d))
             complete = True
     # cheap deterministic candidates, useful when the search is not complete
     candidates.append(H.unit_vector())

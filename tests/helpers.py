@@ -1,14 +1,19 @@
 """Test-side helpers: dense tensor access, mutations, an independent
 loop-based axiom oracle (deliberately *not* the library's matrix-identity
-formulation, so axiom names reported by hopf_make can be cross-checked), and
-a Kronecker-product evaluator of expression trees, the reference for
-``calculus.evaluate``."""
+formulation, so axiom names reported by hopf_make can be cross-checked), a
+Kronecker-product evaluator of expression trees, the reference for
+``calculus.evaluate``, the Kronecker/permutation form of the
+comultiplication-algebra-map sides, the reference for the contraction in
+``hopf_make``, and the lambda-loop pivot conditions, the reference for
+``integrals._pivot_condition_failures``."""
 
 from __future__ import annotations
 
 from hopfchrom import HopfAlgebra, Matrix, Morphism, MorphismTypeError
 from hopfchrom.calculus import Compose, Ident, Prim, Tensor
 from hopfchrom.hmod import word_dim, word_label, words_match
+from hopfchrom.hopf import vec_scale
+from hopfchrom.linalg import permutation_matrix
 
 
 def kron_evaluate(expr) -> Morphism:
@@ -38,11 +43,60 @@ def kron_evaluate(expr) -> Morphism:
     raise MorphismTypeError(f"unknown expression node {expr!r}")
 
 
+def kron_comult_algebra_map_sides(field, tensors: dict):
+    """``(D M, (M ox M) swap23 (D ox D))`` built from dense tensors as full
+    matrices, the n^4-sided permutation and Kronecker square included."""
+    mult, comult = tensors["mult"], tensors["comult"]
+    n = len(tensors["unit"])
+    M = Matrix.from_entries(field, n, n * n, {
+        (k, i * n + j): mult[i][j][k]
+        for i in range(n) for j in range(n) for k in range(n)})
+    D = Matrix.from_entries(field, n * n, n, {
+        (i * n + j, k): comult[k][i][j]
+        for i in range(n) for j in range(n) for k in range(n)})
+    swap23 = permutation_matrix(field, [
+        ((a * n + c) * n + b) * n + d
+        for a in range(n) for b in range(n) for c in range(n) for d in range(n)
+    ])
+    return D @ M, M.kron(M) @ swap23 @ D.kron(D)
+
+
+def pivot_condition_failures_reference(H: HopfAlgebra, data, v: list) -> list[str]:
+    """The three pivot conditions, unibalancedness as the lambda loop
+    ``lambda(h_(2)) h_(1) = lambda(h) v^2`` over every basis h."""
+    f = H.field
+    fails = []
+    if not H.is_grouplike(v):
+        fails.append("grouplike")
+    S2 = H.antipode @ H.antipode
+    ok = H.multiply(v, H.antipode_apply(v)) == H.unit_vector()
+    for i in range(H.dim):
+        if H.multiply(S2.col_list(i), v) != H.multiply(v, H.basis_vector(i)):
+            ok = False
+            break
+    if not ok:
+        fails.append("conjugation")
+    lam = data.right_integral
+    vv = H.multiply(v, v)
+    for k in range(H.dim):
+        left = H.zero_vector()
+        for (i, j), c in H.comult[k].items():
+            left[i] = f.add(left[i], f.mul(c, lam[j]))
+        if left != vec_scale(f, lam[k], vv):
+            fails.append("unibalanced")
+            break
+    return fails
+
+
 def dense_tensors(H: HopfAlgebra):
     """Mutable dense copies of all structure tensors."""
+    n = H.dim
+    zero = H.field.zero
     return {
-        "mult": H._dense_mult(),
-        "comult": H._dense_comult(),
+        "mult": [[[H.mult[i][j].get(k, zero) for k in range(n)]
+                  for j in range(n)] for i in range(n)],
+        "comult": [[[H.comult[k].get((i, j), zero) for j in range(n)]
+                    for i in range(n)] for k in range(n)],
         "unit": list(H.unit),
         "counit": list(H.counit),
         "antipode": [list(r) for r in H.antipode.dense()],

@@ -1,13 +1,25 @@
 
 import pytest
-from helpers import axiom_violated, dense_tensors, mutate
+from helpers import (
+    axiom_violated,
+    dense_tensors,
+    kron_comult_algebra_map_sides,
+    mutate,
+)
 
 from hopfchrom import (
+    FieldSpec,
     GroupTable,
     HopfAxiomError,
+    Matrix,
+    field_make,
     group_algebra,
     hopf_make,
+    taft,
 )
+from hopfchrom import hopf as hopf_module
+from hopfchrom import linalg as linalg_module
+from hopfchrom.hopf import _delta_products, _normalize_tensors, _structure_matrices
 
 
 def test_builtins_pass_axiom_suite(corpus):
@@ -159,3 +171,62 @@ def test_ten_mutations_per_builtin_fail_with_correct_axiom(corpus):
             else:
                 continue
         assert failures == 10, f"{H.name}: only {failures} failing mutations found"
+
+
+def _contracted_sides(H, t):
+    sm, _, sc, _, _ = _normalize_tensors(H.field, H.dim, t["mult"], t["unit"],
+                                         t["comult"], t["counit"], t["antipode"])
+    M, D = _structure_matrices(H.field, sm, sc)
+    return D @ M, _delta_products(H.field, sm, sc)
+
+
+def test_contracted_comult_algebra_map_equals_kronecker_form(corpus):
+    for H in corpus:
+        base = dense_tensors(H)
+        cases = [base] + [mutate(base, kind, idx, H.field)
+                          for kind, idx in list(_mutation_stream(H))[::11]]
+        for t in cases:
+            lhs, rhs = _contracted_sides(H, t)
+            ref_lhs, ref_rhs = kron_comult_algebra_map_sides(H.field, t)
+            assert lhs == ref_lhs and rhs == ref_rhs, H.name
+
+
+@pytest.mark.parametrize("name, kind, idx", [
+    ("group:Z2", "mult", (1, 1, 0)),
+    ("group:Z2", "mult", (1, 1, 1)),
+    ("dualgroup:Z2", "comult", (0, 1, 1)),
+    ("dualgroup:Z2", "comult", (1, 1, 1)),
+])
+def test_comult_algebra_map_violation_matches_reference(corpus, name, kind, idx):
+    H = next(A for A in corpus if A.name == name)
+    t = mutate(dense_tensors(H), kind, idx, H.field)
+    with pytest.raises(HopfAxiomError) as err:
+        hopf_make(H.field, H.basis_names, t["mult"], t["unit"], t["comult"],
+                  t["counit"], t["antipode"])
+    assert err.value.axiom == "comultiplication-algebra-map"
+    assert axiom_violated(H.field, t, err.value.axiom)
+    ref_lhs, ref_rhs = kron_comult_algebra_map_sides(H.field, t)
+    r, c, _, _ = ref_lhs.first_difference(ref_rhs)
+    n = H.dim
+    assert err.value.indices == (c // n, c % n, r // n, r % n)
+
+
+def test_axiom_suite_builds_nothing_above_n_cubed(monkeypatch):
+    H = taft(5, field_make(FieldSpec("prime-field", p=11)))
+    t = dense_tensors(H)
+    assert not hasattr(hopf_module, "permutation_matrix")
+    sides = []
+    init = Matrix.__init__
+
+    def recording_init(self, field, nrows, ncols, rows=None):
+        sides.append(max(nrows, ncols))
+        init(self, field, nrows, ncols, rows)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("permutation_matrix called by hopf_make")
+
+    monkeypatch.setattr(Matrix, "__init__", recording_init)
+    monkeypatch.setattr(linalg_module, "permutation_matrix", forbidden)
+    hopf_make(H.field, H.basis_names, t["mult"], t["unit"], t["comult"],
+              t["counit"], t["antipode"])
+    assert sides and max(sides) == H.dim ** 3

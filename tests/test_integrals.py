@@ -1,6 +1,8 @@
 from fractions import Fraction
 
+from helpers import pivot_condition_failures_reference
 
+import hopfchrom.integrals as integrals_module
 from hopfchrom import (
     FieldSpec,
     GroupTable,
@@ -118,6 +120,24 @@ def test_pivot_condition_rejection(z2, h4, t3):
     dt3 = normalized_pair(t3)
     # g in Taft(3) fails the conjugation condition (the pivot side is g^{-1})
     assert "conjugation" in _pivot_condition_failures(t3, dt3, t3.basis_vector(3))
+
+
+def test_pivot_conditions_match_lambda_loop_reference(corpus_data, monkeypatch):
+    tested = []
+    library = integrals_module._pivot_condition_failures
+
+    def recording(H, data, v):
+        fails = library(H, data, v)
+        tested.append((H, data, v, fails))
+        return fails
+
+    monkeypatch.setattr(integrals_module, "_pivot_condition_failures", recording)
+    for H, d in corpus_data.values():
+        pivot_candidates(H, d)
+    assert {H.name for H, _, _, _ in tested} == set(corpus_data)
+    assert any(fails == ["unibalanced"] for _, _, _, fails in tested)
+    for H, d, v, fails in tested:
+        assert fails == pivot_condition_failures_reference(H, d, v), (H.name, v)
 
 
 def test_is_spherical(corpus_data):
