@@ -87,9 +87,7 @@ from .chromatic import (
     chromatic_left_hopf,
     chromatic_retract,
     chromatic_right_hopf,
-    chromatic_right_printed,
     chromatic_spherical,
-    right_map_formula_agrees,
     split_idempotent,
     verify_chromatic_identity,
 )

@@ -1,12 +1,14 @@
 """Chromatic maps in H-mod and exact verification of their defining identities.
 
 The left map, based at the regular module for itself, sends
-``e_x ox y -> lambda(S(y_(1)) x) alpha_H(y_(2)) ox y_(3) ox y_(4)``.  The
-right map is transported through H^cop (where a right chromatic map in H-mod
-is a left chromatic map), which resolves the ambiguous printed Sweedler
-indices; the direct 4-leg reading is also assembled as a cross-check.  Both
-extend to any projective P through a retract family {f_i: P -> H, g_i: H -> P}
-with sum g_i f_i = id_P, produced here by splitting H-linear idempotents.
+``e_x ox y -> lambda(S(y_(1)) x) alpha_H(y_(2)) ox y_(3) ox y_(4)``; the right
+map is the same contraction with the legs on the opposite side,
+``y ox e_x -> y_(1) ox y_(2) ox alpha_H(y_(3)) lambda(S(x) y_(4))``, and the
+spherical map contracts lambda against ``g x`` on ``Delta^2(y)``.  All three
+are filled by one loop (``_sweedler_map``) from H's own coproduct.  Each
+extends to any projective P through a retract family {f_i: P -> H,
+g_i: H -> P} with sum g_i f_i = id_P, produced here by splitting H-linear
+idempotents.
 
 ``verify_chromatic_identity`` evaluates the defining composite with the
 morphism calculus, on every column of its source word, and compares it with
@@ -44,7 +46,7 @@ from .integrals import (
     is_unimodular,
     normalized_pair,
 )
-from .linalg import Matrix, permutation_matrix
+from .linalg import Matrix
 
 __all__ = [
     "NotSphericalError",
@@ -52,8 +54,6 @@ __all__ = [
     "ChromaticReport",
     "chromatic_left_hopf",
     "chromatic_right_hopf",
-    "chromatic_right_printed",
-    "right_map_formula_agrees",
     "chromatic_spherical",
     "split_idempotent",
     "chromatic_retract",
@@ -72,35 +72,43 @@ def _lambda_pair_table(H: HopfAlgebra, lam: list, rs: list | None = None) -> lis
             for i in range(H.dim)]
 
 
+def _sweedler_map(H: HopfAlgebra, legs: list, table: list[list], right: bool) -> Matrix:
+    """The ``n^2 x n^2`` matrix summing ``c * table[i][x]`` into row ``r``.
+
+    ``legs[y]`` lists the terms ``(i, r, c)`` of the Sweedler expansion of
+    ``e_y`` with alpha already contracted: ``i`` is the leg paired with
+    lambda through ``table``, ``r`` the flat index of the two output legs.
+    The column is ``x*n + y`` (left, spherical) or ``y*n + x`` (right).
+    """
+    f = H.field
+    n = H.dim
+    sx, sy = (1, n) if right else (n, 1)
+    entries: dict = {}
+    for y, terms in enumerate(legs):
+        for i, row, c in terms:
+            if c == f.zero:
+                continue
+            for x, v in enumerate(table[i]):
+                if v == f.zero:
+                    continue
+                key = (row, x * sx + y * sy)
+                entries[key] = f.add(entries.get(key, f.zero), f.mul(c, v))
+    return Matrix.from_entries(f, n * n, n * n, entries)
+
+
 def chromatic_left_hopf(H: HopfAlgebra, data: IntegralData | None = None,
                         check: bool = True) -> Morphism:
     """Left chromatic map ldld(H) ox H -> alpha ox H ox H based at H for H."""
     data = data or normalized_pair(H)
-    f = H.field
-    n = H.dim
+    f, n, alpha = H.field, H.dim, data.alpha
+    legs = [[(y1, y3 * n + y4, f.mul(c, alpha[y2]))
+             for (y1, y2, y3, y4), c in H.coproduct_iter(3, H.basis_vector(y)).items()]
+            for y in range(n)]
+    table = _lambda_pair_table(H, data.right_integral)
     G = regular_module(H)
     Gll = dual_module(dual_module(G, "left"), "left")
-    alpha_mod = alpha_module(H, data)
-    lam_s = _lambda_pair_table(H, data.right_integral)
-    alpha = data.alpha
-    entries: dict = {}
-    for y in range(n):
-        legs = H.coproduct_iter(3, H.basis_vector(y))
-        for (y1, y2, y3, y4), c in legs.items():
-            a2 = alpha[y2]
-            if a2 == f.zero:
-                continue
-            ca = f.mul(c, a2)
-            row = y3 * n + y4
-            lrow = lam_s[y1]
-            for x in range(n):
-                v = lrow[x]
-                if v == f.zero:
-                    continue
-                key = (row, x * n + y)
-                entries[key] = f.add(entries.get(key, f.zero), f.mul(ca, v))
-    mor = Morphism((Gll, G), (alpha_mod, G, G),
-                   Matrix.from_entries(f, n * n, n * n, entries))
+    mor = Morphism((Gll, G), (alpha_module(H, data), G, G),
+                   _sweedler_map(H, legs, table, right=False))
     if check and not is_h_linear(mor):
         raise ModuleAxiomError("left chromatic map failed the intertwiner check")
     return mor
@@ -110,62 +118,23 @@ def chromatic_right_hopf(H: HopfAlgebra, data: IntegralData | None = None,
                          check: bool = True) -> Morphism:
     """Right chromatic map H ox rdrd(H) -> H ox H ox alpha based at H for H.
 
-    Built as the left chromatic map of H^cop (with its own normalized
-    integral data) transported back along the order-reversing dictionary.
+    ``y ox e_x -> y_(1) ox y_(2) ox alpha(y_(3)) lambda(S(e_x) y_(4))``: the
+    Sweedler contraction of the left map with its legs on the opposite side,
+    built from H's own coproduct.
     """
     data = data or normalized_pair(H)
-    f = H.field
-    n = H.dim
-    Hc = H.cop()
-    left_cop = chromatic_left_hopf(Hc, normalized_pair(Hc), check=False)
-    rev = permutation_matrix(f, [j * n + i for i in range(n) for j in range(n)])
-    mat = rev @ left_cop.matrix @ rev
+    f, n, alpha = H.field, H.dim, data.alpha
+    legs = [[(y4, y1 * n + y2, f.mul(c, alpha[y3]))
+             for (y1, y2, y3, y4), c in H.coproduct_iter(3, H.basis_vector(y)).items()]
+            for y in range(n)]
+    table = [list(col) for col in zip(*_lambda_pair_table(H, data.right_integral))]
     G = regular_module(H)
     Grr = dual_module(dual_module(G, "right"), "right")
-    alpha_mod = alpha_module(H, data)
-    mor = Morphism((G, Grr), (G, G, alpha_mod), mat)
+    mor = Morphism((G, Grr), (G, G, alpha_module(H, data)),
+                   _sweedler_map(H, legs, table, right=True))
     if check and not is_h_linear(mor):
         raise ModuleAxiomError("right chromatic map failed the intertwiner check")
     return mor
-
-
-def chromatic_right_printed(H: HopfAlgebra, data: IntegralData | None = None) -> Morphism:
-    """Direct reading y ox e_x -> y_(1) ox y_(2) ox alpha(y_(3)) lambda(S(x) y_(4)).
-
-    Cross-check only; the transported map is the certified construction.
-    """
-    data = data or normalized_pair(H)
-    f = H.field
-    n = H.dim
-    G = regular_module(H)
-    Grr = dual_module(dual_module(G, "right"), "right")
-    alpha_mod = alpha_module(H, data)
-    lam_sx = _lambda_pair_table(H, data.right_integral)
-    alpha = data.alpha
-    entries: dict = {}
-    for y in range(n):
-        legs = H.coproduct_iter(3, H.basis_vector(y))
-        for (y1, y2, y3, y4), c in legs.items():
-            a3 = alpha[y3]
-            if a3 == f.zero:
-                continue
-            ca = f.mul(c, a3)
-            row = y1 * n + y2
-            for x in range(n):
-                v = lam_sx[x][y4]  # lambda(S(e_x) e_{y4})
-                if v == f.zero:
-                    continue
-                key = (row, y * n + x)
-                entries[key] = f.add(entries.get(key, f.zero), f.mul(ca, v))
-    return Morphism((G, Grr), (G, G, alpha_mod),
-                    Matrix.from_entries(f, n * n, n * n, entries))
-
-
-def right_map_formula_agrees(H: HopfAlgebra, data: IntegralData | None = None) -> bool:
-    """Whether the printed-formula reading matches the transported right map."""
-    data = data or normalized_pair(H)
-    return chromatic_right_hopf(H, data, check=False).matrix == \
-        chromatic_right_printed(H, data).matrix
 
 
 def chromatic_spherical(H: HopfAlgebra, data: IntegralData | None = None,
@@ -176,25 +145,15 @@ def chromatic_spherical(H: HopfAlgebra, data: IntegralData | None = None,
     if pivot is None or not is_unimodular(H, data) or \
             _pivot_condition_failures(H, data, pivot.g):
         raise NotSphericalError(f"{H.name} is not spherical (or pivot invalid)")
-    f = H.field
     n = H.dim
-    G = regular_module(H)
+    legs = [[(y1, y2 * n + y3, c)
+             for (y1, y2, y3), c in H.coproduct_iter(2, H.basis_vector(y)).items()]
+            for y in range(n)]
     # table[i][x] = lambda(S(e_i) g e_x)
     table = _lambda_pair_table(H, data.right_integral,
                                [H.multiply(pivot.g, H.basis_vector(x)) for x in range(n)])
-    entries: dict = {}
-    for y in range(n):
-        legs = H.coproduct_iter(2, H.basis_vector(y))
-        for (y1, y2, y3), c in legs.items():
-            row = y2 * n + y3
-            trow = table[y1]
-            for x in range(n):
-                v = trow[x]
-                if v == f.zero:
-                    continue
-                key = (row, x * n + y)
-                entries[key] = f.add(entries.get(key, f.zero), f.mul(c, v))
-    mor = Morphism((G, G), (G, G), Matrix.from_entries(f, n * n, n * n, entries))
+    G = regular_module(H)
+    mor = Morphism((G, G), (G, G), _sweedler_map(H, legs, table, right=False))
     if check and not is_h_linear(mor):
         raise ModuleAxiomError("spherical chromatic map failed the intertwiner check")
     return mor
@@ -216,7 +175,6 @@ class RetractFamily:
 
     def validate(self):
         f = self.P.H.field
-        total = Matrix.zeros(f, self.P.dim, self.P.dim)
         for fi, gi in self.maps:
             if not words_match(fi.source, (self.P,)) or len(fi.target) != 1 \
                     or fi.target[0].label != "H":
@@ -226,7 +184,8 @@ class RetractFamily:
                 raise MorphismTypeError(f"bad retract map {gi!r}")
             if not is_h_linear(fi) or not is_h_linear(gi):
                 raise ModuleAxiomError("retract family maps must be H-linear")
-            total = total + gi.matrix @ fi.matrix
+        total = Matrix.combination(f, self.P.dim, self.P.dim,
+                                   ((f.one, gi.matrix @ fi.matrix) for fi, gi in self.maps))
         if total != Matrix.identity(f, self.P.dim):
             raise ModuleAxiomError("retract family does not sum to id_P")
 
@@ -290,38 +249,22 @@ def chromatic_retract(H: HopfAlgebra, c: Morphism, fam: RetractFamily,
                       side: str, check: bool = True) -> Morphism:
     """Extend a chromatic map based at H to one based at P along a retract."""
     P = fam.P
-    if side == "left":
-        head, base = c.target[:2], c.source[:1]   # (alpha, H) and (ldld H)
-        source = base + (P,)
-        target = head + (P,)
-        terms = [
-            compose(tensor(identity(head), Prim(gi)), Prim(c),
-                    tensor(identity(base), Prim(fi)))
-            for fi, gi in fam.maps
-        ]
-    elif side == "right":
-        tail_t, tail_s = c.target[1:], c.source[1:]  # (H, alpha) and (rdrd H)
-        source = (P,) + tail_s
-        target = (P,) + tail_t
-        terms = [
-            compose(tensor(Prim(gi), identity(tail_t)), Prim(c),
-                    tensor(Prim(fi), identity(tail_s)))
-            for fi, gi in fam.maps
-        ]
-    elif side == "spherical":
-        g_word = c.source[:1]
-        source = g_word + (P,)
-        target = g_word + (P,)
-        terms = [
-            compose(tensor(identity(g_word), Prim(gi)), Prim(c),
-                    tensor(identity(g_word), Prim(fi)))
-            for fi, gi in fam.maps
-        ]
+    if side in ("left", "spherical"):  # P is the last leg of both words
+        kept_s, kept_t = c.source[:-1], c.target[:-1]
+        source, target = kept_s + (P,), kept_t + (P,)
+        terms = [compose(tensor(identity(kept_t), Prim(gi)), Prim(c),
+                         tensor(identity(kept_s), Prim(fi)))
+                 for fi, gi in fam.maps]
+    elif side == "right":  # P is the first leg
+        kept_s, kept_t = c.source[1:], c.target[1:]
+        source, target = (P,) + kept_s, (P,) + kept_t
+        terms = [compose(tensor(Prim(gi), identity(kept_t)), Prim(c),
+                         tensor(Prim(fi), identity(kept_s)))
+                 for fi, gi in fam.maps]
     else:
         raise ValueError(f"side must be left, right or spherical, got {side!r}")
-    total = Matrix.zeros(H.field, word_dim(target), word_dim(source))
-    for t in terms:
-        total = total + evaluate(t).matrix
+    total = Matrix.combination(H.field, word_dim(target), word_dim(source),
+                               ((H.field.one, evaluate(t).matrix) for t in terms))
     mor = Morphism(source, target, total)
     if check and not is_h_linear(mor):
         raise ModuleAxiomError("retracted chromatic map failed the intertwiner check")

@@ -189,24 +189,23 @@ def cmd_integrals(args) -> int:
     return EXIT_OK
 
 
-def _build_chromatic(H, data, side: str):
+def _build_chromatic(H, data, side: str, pivot=None):
     if side == "left":
         return chromatic_left_hopf(H, data)
     if side == "right":
         return chromatic_right_hopf(H, data)
-    spherical, pivot = is_spherical_hmod(H, data)
-    if not spherical:
-        raise NotSphericalError(f"{H.name} is not spherical")
-    return chromatic_spherical(H, data, pivot), pivot
+    return chromatic_spherical(H, data, pivot)
 
 
 def cmd_chromatic(args) -> int:
     H = _load(args)
     data = normalized_pair(H)
+    pivot = None
     if args.side == "spherical":
-        mor, _ = _build_chromatic(H, data, "spherical")
-    else:
-        mor = _build_chromatic(H, data, args.side)
+        spherical, pivot = is_spherical_hmod(H, data)
+        if not spherical:
+            raise NotSphericalError(f"{H.name} is not spherical")
+    mor = _build_chromatic(H, data, args.side, pivot)
     payload = {"algebra": H.name, "side": args.side, **_morphism_payload(H, mor)}
     lines = [
         f"{args.side} chromatic map of {H.name}: "
@@ -292,12 +291,7 @@ def cmd_check(args) -> int:
     fault_notes = []
     all_ok = True
     for side in sides:
-        if side == "spherical":
-            base = chromatic_spherical(H, data, pivot)
-        elif side == "left":
-            base = chromatic_left_hopf(H, data)
-        else:
-            base = chromatic_right_hopf(H, data)
+        base = _build_chromatic(H, data, side, pivot)
         if args.inject_fault is not None:
             r, c = args.inject_fault
             nrows, ncols = base.matrix.shape
@@ -390,8 +384,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_fault_value(argv: list[str]) -> list[str]:
+    """``--inject-fault R,C`` as one ``--inject-fault=R,C`` token, so that a
+    negative R reaches the range check instead of reading as an option."""
+    out = []
+    tokens = iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok == "--inject-fault" else None
+        out.append(tok if value is None else f"{tok}={value}")
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_fault_value(argv))
     try:
         return args.func(args)
     except (HopfAxiomError, NotSphericalError) as exc:

@@ -369,11 +369,11 @@ class CyclotomicField(Field):
         r0, r1 = mod, list(a)
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while any(r1):
-            q, rem = _poly_divmod(r0, r1)
+            q, rem = _poly_divmod(_Q, r0, r1)
             r0, r1 = r1, rem
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         # r0 is a nonzero constant gcd since the modulus is irreducible
-        deg0 = _poly_deg(r0)
+        deg0 = _poly_deg(_Q, r0)
         assert deg0 == 0, "cyclotomic modulus is irreducible"
         c = r0[0]
         return self._reduce([x / c for x in s0])
@@ -415,11 +415,15 @@ class CyclotomicField(Field):
         return 0
 
 
-# -- dense polynomial helpers over Fraction coefficients ---------------------
+# -- dense polynomial helpers, coefficients low degree first -----------------
 
-def _poly_deg(p: list[Fraction]) -> int:
+_Q = RationalField()
+
+
+def _poly_deg(field: Field, p: list) -> int:
+    """Degree of ``p`` over ``field``; -1 for the zero polynomial."""
     for i in range(len(p) - 1, -1, -1):
-        if p[i]:
+        if p[i] != field.zero:
             return i
     return -1
 
@@ -440,18 +444,20 @@ def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    db = _poly_deg(b)
+def _poly_divmod(field: Field, a: list, b: list):
+    """Quotient and remainder of ``a`` by ``b != 0`` over ``field``; the
+    remainder keeps the length of ``a``."""
+    db = _poly_deg(field, b)
     assert db >= 0
     a = list(a)
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    lead = b[db]
-    for i in range(_poly_deg(a) - db, -1, -1):
-        c = a[i + db] / lead
-        if c:
+    q = [field.zero] * max(len(a) - db, 1)
+    inv_lead = field.inv(b[db])
+    for i in range(_poly_deg(field, a) - db, -1, -1):
+        c = field.mul(a[i + db], inv_lead)
+        if c != field.zero:
             q[i] = c
             for j in range(db + 1):
-                a[i + j] -= c * b[j]
+                a[i + j] = field.sub(a[i + j], field.mul(c, b[j]))
     return q, a
 
 

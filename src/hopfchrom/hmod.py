@@ -18,7 +18,7 @@ from functools import reduce
 
 from .hopf import HopfAlgebra, HopfDataError
 from .integrals import IntegralData
-from .linalg import Matrix
+from .linalg import Matrix, stacked_nullspace
 
 __all__ = [
     "HModule",
@@ -67,12 +67,9 @@ class HModule:
 
     def act(self, a: list) -> Matrix:
         """Action matrix of an arbitrary element of H."""
-        f = self.H.field
-        out = Matrix.zeros(f, self.dim, self.dim)
-        for i, c in enumerate(a):
-            if c != f.zero:
-                out = out + self.action[i].scale(c)
-        return out
+        zero = self.H.field.zero
+        return Matrix.combination(self.H.field, self.dim, self.dim,
+                                  ((c, m) for c, m in zip(a, self.action) if c != zero))
 
     def same_as(self, other: "HModule") -> bool:
         return (
@@ -105,11 +102,9 @@ def _validate_module(M: HModule):
         raise ModuleAxiomError(f"rho(1) != id on module {M.label!r}")
     for i in range(H.dim):
         for j in range(H.dim):
-            lhs = M.action[i] @ M.action[j]
-            rhs = Matrix.zeros(f, M.dim, M.dim)
-            for k, c in H.mult[i][j].items():
-                rhs = rhs + M.action[k].scale(c)
-            if lhs != rhs:
+            rhs = Matrix.combination(f, M.dim, M.dim,
+                                     ((c, M.action[k]) for k, c in H.mult[i][j].items()))
+            if M.action[i] @ M.action[j] != rhs:
                 raise ModuleAxiomError(
                     f"action axiom fails on {M.label!r} at basis pair ({i},{j})"
                 )
@@ -138,14 +133,8 @@ def tensor_module(M: HModule, N: HModule) -> HModule:
     """M ox N with action through the coproduct."""
     if M.H is not N.H:
         raise MorphismTypeError("tensor of modules over different algebras")
-    H, f = M.H, M.H.field
-    action = []
-    for k in range(H.dim):
-        acc = Matrix.zeros(f, M.dim * N.dim, M.dim * N.dim)
-        for (i, j), c in H.comult[k].items():
-            acc = acc + M.action[i].kron(N.action[j]).scale(c)
-        action.append(acc)
-    return HModule(H, M.dim * N.dim, action, f"({M.label}*{N.label})")
+    action = [word_action(M.H, (M, N), k) for k in range(M.H.dim)]
+    return HModule(M.H, M.dim * N.dim, action, f"({M.label}*{N.label})")
 
 
 def dual_module(M: HModule, side: str) -> HModule:
@@ -196,20 +185,23 @@ def word_action(H: HopfAlgebra, word, k: int) -> Matrix:
 
 
 def word_element_action(H: HopfAlgebra, word, a: list) -> Matrix:
-    """Action of an arbitrary element of H on a tensor word."""
+    """Action of an arbitrary element of H on a tensor word.
+
+    Each Sweedler term ``c a_(1) ox ... ox a_(k)`` is one Kronecker product
+    with ``c`` folded into the first leg's (smaller) action matrix.
+    """
     word = _as_word(word)
     f = H.field
     if not word:
         return Matrix.from_rows(f, [[H.counit_apply(a)]])
     if len(word) == 1:
         return word[0].act(a)
-    legs = H.coproduct_iter(len(word) - 1, a)
+    head, tail = word[0], word[1:]
     dim = word_dim(word)
-    acc = Matrix.zeros(f, dim, dim)
-    for key, c in legs.items():
-        mat = reduce(Matrix.kron, (m.action[i] for m, i in zip(word, key)))
-        acc = acc + mat.scale(c)
-    return acc
+    return Matrix.combination(f, dim, dim, (
+        (f.one, reduce(Matrix.kron, (m.action[i] for m, i in zip(tail, key[1:])),
+                       head.action[key[0]].scale(c)))
+        for key, c in H.coproduct_iter(len(word) - 1, a).items()))
 
 
 @dataclass
@@ -312,29 +304,12 @@ def hom_space(M: HModule, N: HModule) -> Matrix:
     """Basis of H-linear maps M -> N, flattened row-major (N.dim x M.dim)."""
     if M.H is not N.H:
         raise MorphismTypeError("hom between modules over different algebras")
-    H, f = M.H, M.H.field
-    dm, dn = M.dim, N.dim
-    blocks = []
-    for k in range(H.dim):
-        # rho_N(e_k) F - F rho_M(e_k) = 0 in coordinates F[r*dm + c]
-        entries: dict = {}
-        rn, rm = N.action[k], M.action[k]
-        for r, row in enumerate(rn._rows):
-            for s, v in row.items():
-                for c in range(dm):
-                    key = (r * dm + c, s * dm + c)
-                    entries[key] = f.add(entries.get(key, f.zero), v)
-        for s, row in enumerate(rm._rows):
-            for c, v in row.items():
-                for r in range(dn):
-                    key = (r * dm + c, r * dm + s)
-                    entries[key] = f.sub(entries.get(key, f.zero), v)
-        blocks.append(Matrix.from_entries(f, dn * dm, dn * dm, entries))
-    rows = []
-    for b in blocks:
-        rows.extend(dict(r) for r in b._rows)
-    stacked = Matrix(f, len(rows), dn * dm, rows)
-    return stacked.nullspace()
+    f = M.H.field
+    id_m, id_n = Matrix.identity(f, M.dim), Matrix.identity(f, N.dim)
+    # rho_N(e_k) F - F rho_M(e_k) = 0 on F flattened row-major:
+    # (rho_N(e_k) ox I - I ox rho_M(e_k)^T) vec(F) = 0
+    return stacked_nullspace([rn.kron(id_m) - id_n.kron(rm.transpose())
+                              for rn, rm in zip(N.action, M.action)])
 
 
 def hom_basis(M: HModule, N: HModule) -> list[Matrix]:

@@ -157,18 +157,16 @@ class HopfAlgebra:
 
     def element_left_mult(self, a: list) -> Matrix:
         """Matrix of ``v -> a v``."""
-        out = Matrix.zeros(self.field, self.dim, self.dim)
-        for i, x in enumerate(a):
-            if x != self.field.zero:
-                out = out + self.left_mult_matrix(i).scale(x)
-        return out
+        return self._element_mult(a, self.left_mult_matrix)
 
     def element_right_mult(self, a: list) -> Matrix:
-        out = Matrix.zeros(self.field, self.dim, self.dim)
-        for j, x in enumerate(a):
-            if x != self.field.zero:
-                out = out + self.right_mult_matrix(j).scale(x)
-        return out
+        """Matrix of ``v -> v a``."""
+        return self._element_mult(a, self.right_mult_matrix)
+
+    def _element_mult(self, a: list, basis_matrix) -> Matrix:
+        zero = self.field.zero
+        terms = ((x, basis_matrix(i)) for i, x in enumerate(a) if x != zero)
+        return Matrix.combination(self.field, self.dim, self.dim, terms)
 
     # -- coalgebra operations ---------------------------------------------------
     def coproduct(self, a: list) -> dict:

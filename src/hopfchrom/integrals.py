@@ -18,10 +18,12 @@ from .fields import (
     Field,
     PrimeField,
     RationalField,
+    _poly_deg,
+    _poly_divmod,
     _rational_is_square,
 )
 from .hopf import HopfAlgebra, HopfDataError, pairing, vec_is_zero, vec_scale
-from .linalg import Matrix
+from .linalg import Matrix, stacked_nullspace
 
 __all__ = [
     "IntegralData",
@@ -60,24 +62,16 @@ class PivotData:
     g_inverse: list
 
 
-def _stacked_nullspace(blocks: list[Matrix]) -> Matrix:
-    rows = []
-    field = blocks[0].field
-    ncols = blocks[0].ncols
-    for b in blocks:
-        rows.extend(b._rows)
-    return Matrix(field, len(rows), ncols, [dict(r) for r in rows]).nullspace()
+def _eigen_space(H: HopfAlgebra, mult_matrix, chi: list) -> Matrix:
+    """Basis of ``{x in H : mult_matrix(i) x = chi(e_i) x for all i}``."""
+    ident = Matrix.identity(H.field, H.dim)
+    return stacked_nullspace([mult_matrix(i) - ident.scale(chi[i]) for i in range(H.dim)])
 
 
 def cointegral_space(H: HopfAlgebra, side: str) -> Matrix:
     """Basis (one column) of left or right cointegrals in H."""
-    f = H.field
-    ident = Matrix.identity(f, H.dim)
-    blocks = []
-    for i in range(H.dim):
-        m = H.left_mult_matrix(i) if side == "left" else H.right_mult_matrix(i)
-        blocks.append(m - ident.scale(H.counit[i]))
-    basis = _stacked_nullspace(blocks)
+    mult = H.left_mult_matrix if side == "left" else H.right_mult_matrix
+    basis = _eigen_space(H, mult, H.counit)
     if basis.ncols != 1:
         raise HopfDataError(
             f"{side} cointegral space of {H.name} has dimension {basis.ncols}, "
@@ -117,12 +111,7 @@ def integral_space(H: HopfAlgebra, side: str) -> Matrix:
 
 def alpha_left_ideal(H: HopfAlgebra, alpha: list) -> Matrix:
     """Basis of ``{x in H : h x = alpha(h) x for all h}``."""
-    f = H.field
-    ident = Matrix.identity(f, H.dim)
-    blocks = [
-        H.left_mult_matrix(i) - ident.scale(alpha[i]) for i in range(H.dim)
-    ]
-    return _stacked_nullspace(blocks)
+    return _eigen_space(H, H.left_mult_matrix, alpha)
 
 
 def _lambda_legs(H: HopfAlgebra, lam: list, k: int) -> tuple[list, list]:
@@ -238,32 +227,19 @@ def _intertwiner_space(H: HopfAlgebra) -> Matrix:
     blocks = []
     for i in range(H.dim):
         blocks.append(H.element_left_mult(S2.col_list(i)) - H.right_mult_matrix(i))
-    return _stacked_nullspace(blocks)
+    return stacked_nullspace(blocks)
 
 
-def _poly_normalize(field: Field, p: list) -> list:
-    while p and p[-1] == field.zero:
-        p.pop()
-    return p
+def _poly_trim(field: Field, p: list) -> list:
+    """``p`` without its zero leading coefficients."""
+    return p[:_poly_deg(field, p) + 1]
 
 
 def _poly_gcd(field: Field, a: list, b: list) -> list:
-    a = _poly_normalize(field, list(a))
-    b = _poly_normalize(field, list(b))
-    while b:
-        # remainder of a by b
-        r = list(a)
-        db = len(b) - 1
-        lead = b[-1]
-        while len(r) - 1 >= db and r:
-            c = field.div(r[-1], lead)
-            for j in range(db + 1):
-                r[len(r) - 1 - db + j] = field.sub(r[len(r) - 1 - db + j],
-                                                   field.mul(c, b[j]))
-            r = _poly_normalize(field, r)
-            if not r:
-                break
-        a, b = b, r
+    """Monic gcd by Euclid's remainders, trimmed; ``[]`` for two zeros."""
+    while _poly_deg(field, b) >= 0:
+        a, b = b, _poly_divmod(field, a, b)[1]
+    a = _poly_trim(field, a)
     if a:
         lead = field.inv(a[-1])
         a = [field.mul(lead, c) for c in a]
@@ -342,7 +318,7 @@ def _grouplikes_on_plane(H: HopfAlgebra, u1: list, u2: list):
                 f.add(f.mul(qst, al), f.mul(f.from_int(2), f.mul(qtt, f.mul(al, be)))),
             )
             c0 = f.sub(f.mul(lin2, al), f.mul(qtt, f.mul(al, al)))
-            poly = _poly_normalize(f, [c0, c1, c2])
+            poly = _poly_trim(f, [c0, c1, c2])
             if poly:
                 polys.append(poly)
     if not polys:

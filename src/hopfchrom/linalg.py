@@ -24,6 +24,7 @@ __all__ = [
     "NoSolutionError",
     "kron",
     "permutation_matrix",
+    "stacked_nullspace",
 ]
 
 
@@ -117,6 +118,29 @@ class Matrix:
                 if v != field.zero:
                     rows[i][j] = v
         return cls(field, nrows, len(cols), rows)
+
+    @classmethod
+    def combination(cls, field: Field, nrows: int, ncols: int, terms) -> "Matrix":
+        """``sum c * A`` over ``(c, A)`` terms, accumulated in one pass.
+
+        Zero sums are dropped once, at the end, so the rows are canonical;
+        a coefficient equal to one adds ``A`` without multiplying.
+        """
+        mul, add, zero, one = field.mul, field.add, field.zero, field.one
+        rows = [{} for _ in range(nrows)]
+        for c, a in terms:
+            if a.field != field:
+                raise FieldMismatchError(f"mixed fields {field.spec} and {a.field.spec}")
+            if a.shape != (nrows, ncols):
+                raise ShapeError(f"combination of {a.shape} into {nrows}x{ncols}")
+            unit = c == one
+            for acc, arow in zip(rows, a._rows):
+                for j, v in arow.items():
+                    if not unit:
+                        v = mul(c, v)
+                    acc[j] = add(acc[j], v) if j in acc else v
+        return cls(field, nrows, ncols,
+                   [{j: v for j, v in r.items() if v != zero} for r in rows])
 
     # -- accessors -----------------------------------------------------------
     def entry(self, i: int, j: int):
@@ -463,6 +487,12 @@ class Matrix:
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Function form of :meth:`Matrix.kron`."""
     return a.kron(b)
+
+
+def stacked_nullspace(blocks: list[Matrix]) -> Matrix:
+    """Nullspace of the blocks stacked row-wise: the common kernel."""
+    rows = [dict(r) for b in blocks for r in b._rows]
+    return Matrix(blocks[0].field, len(rows), blocks[0].ncols, rows).nullspace()
 
 
 def permutation_matrix(field: Field, images: list[int]) -> Matrix:

@@ -4,15 +4,17 @@ formulation, so axiom names reported by hopf_make can be cross-checked), a
 Kronecker-product evaluator of expression trees, the reference for
 ``calculus.evaluate``, the Kronecker/permutation form of the
 comultiplication-algebra-map sides, the reference for the contraction in
-``hopf_make``, and the lambda-loop pivot conditions, the reference for
-``integrals._pivot_condition_failures``."""
+``hopf_make``, the lambda-loop pivot conditions, the reference for
+``integrals._pivot_condition_failures``, and the right chromatic map
+transported from the left map of H^cop, the reference for
+``chromatic_right_hopf``."""
 
 from __future__ import annotations
 
-from hopfchrom import HopfAlgebra, Matrix, Morphism, MorphismTypeError
+from hopfchrom import HopfAlgebra, Matrix, Morphism, MorphismTypeError, normalized_pair
 from hopfchrom.calculus import Compose, Ident, Prim, Tensor
 from hopfchrom.hmod import word_dim, word_label, words_match
-from hopfchrom.hopf import vec_scale
+from hopfchrom.hopf import pairing, vec_scale
 from hopfchrom.linalg import permutation_matrix
 
 
@@ -41,6 +43,40 @@ def kron_evaluate(expr) -> Morphism:
         return Morphism(fm.source + gm.source, fm.target + gm.target,
                         fm.matrix.kron(gm.matrix))
     raise MorphismTypeError(f"unknown expression node {expr!r}")
+
+
+def left_map_by_direct_expansion(H: HopfAlgebra, d) -> Matrix:
+    """The left chromatic map expanded element by element from its formula,
+    over ``coproduct_iter_last``, independently of the library's builder."""
+    f = H.field
+    n = H.dim
+    lam, alpha = d.right_integral, d.alpha
+    entries = {}
+    for y in range(n):
+        for key, c in H.coproduct_iter_last(3, H.basis_vector(y)).items():
+            y1, y2, y3, y4 = key
+            for x in range(n):
+                prod = H.multiply(H.antipode_vector(y1), H.basis_vector(x))
+                scalar = f.mul(c, f.mul(alpha[y2], pairing(f, lam, prod)))
+                if scalar == f.zero:
+                    continue
+                k = (y3 * n + y4, x * n + y)
+                entries[k] = f.add(entries.get(k, f.zero), scalar)
+    return Matrix.from_entries(f, n * n, n * n,
+                               {k: v for k, v in entries.items() if v != f.zero})
+
+
+def cop_transported_right_map(H: HopfAlgebra) -> Matrix:
+    """The right chromatic map of H as the left chromatic map of H^cop, with
+    H^cop's own normalized integral data, transported back along the
+    order-reversing dictionary ``(i, j) -> (j, i)`` on both sides.  In H^cop
+    a right chromatic map of H-mod is a left one, which settles the order of
+    the Sweedler legs independently of the printed formula."""
+    n = H.dim
+    Hc = H.cop()
+    left_cop = left_map_by_direct_expansion(Hc, normalized_pair(Hc))
+    rev = permutation_matrix(H.field, [j * n + i for i in range(n) for j in range(n)])
+    return rev @ left_cop @ rev
 
 
 def kron_comult_algebra_map_sides(field, tensors: dict):

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from helpers import kron_evaluate
+from helpers import cop_transported_right_map, kron_evaluate, left_map_by_direct_expansion
 
 import hopfchrom.chromatic as chromatic_mod
 from hopfchrom import (
@@ -21,13 +21,12 @@ from hopfchrom import (
     normalized_pair,
     pivot_candidates,
     regular_module,
-    right_map_formula_agrees,
     split_idempotent,
     trivial_module,
     verify_chromatic_identity,
 )
 from hopfchrom.algebras import find_nontrivial_idempotent
-from hopfchrom.cli import main
+from hopfchrom.cli import _make_builtin, _parse_field, main
 from hopfchrom.hopf import pairing
 
 
@@ -53,35 +52,15 @@ def test_left_map_z2_is_delta(z2, corpus_data):
                     assert c.matrix.entry(h1 * n + h2, col) == want
 
 
-def _left_map_by_direct_expansion(H, d):
-    """Independent assembly: expand the defining formula element by element."""
-    f = H.field
-    n = H.dim
-    lam, alpha = d.right_integral, d.alpha
-    entries = {}
-    for y in range(n):
-        for key, c in H.coproduct_iter_last(3, H.basis_vector(y)).items():
-            y1, y2, y3, y4 = key
-            for x in range(n):
-                prod = H.multiply(H.antipode_vector(y1), H.basis_vector(x))
-                scalar = f.mul(c, f.mul(alpha[y2], pairing(f, lam, prod)))
-                if scalar == f.zero:
-                    continue
-                k = (y3 * n + y4, x * n + y)
-                entries[k] = f.add(entries.get(k, f.zero), scalar)
-    return Matrix.from_entries(f, n * n, n * n,
-                               {k: v for k, v in entries.items() if v != f.zero})
-
-
 def test_left_map_h4_matches_direct_expansion(h4, corpus_data):
     _, d = corpus_data["sweedler"]
-    assert chromatic_left_hopf(h4, d).matrix == _left_map_by_direct_expansion(h4, d)
+    assert chromatic_left_hopf(h4, d).matrix == left_map_by_direct_expansion(h4, d)
 
 
 def test_left_map_taft_matches_direct_expansion_and_is_linear(t3, corpus_data):
     _, d = corpus_data["taft:3"]
     c = chromatic_left_hopf(t3, d)
-    assert c.matrix == _left_map_by_direct_expansion(t3, d)
+    assert c.matrix == left_map_by_direct_expansion(t3, d)
     assert is_h_linear(c)
 
 
@@ -102,7 +81,14 @@ def test_right_map_z2_is_delta(z2, corpus_data):
 
 def test_right_map_agrees_with_printed_formula(corpus_data):
     for name, (H, d) in corpus_data.items():
-        assert right_map_formula_agrees(H, d), name
+        assert chromatic_right_hopf(H, d).matrix == cop_transported_right_map(H), name
+
+
+@pytest.mark.parametrize("name,spec", [("taft:4", "Cyc:8"), ("taft:5", "GF:11")])
+def test_right_map_matches_cop_transport_beyond_corpus(name, spec):
+    H = _make_builtin(name, _parse_field(spec))
+    d = normalized_pair(H)
+    assert chromatic_right_hopf(H, d, check=False).matrix == cop_transported_right_map(H)
 
 
 def test_right_map_h_linear_h4(h4, corpus_data):
@@ -290,7 +276,7 @@ def test_full_pipeline_over_cyclotomic_field():
     C3 = field_make(FieldSpec("cyclotomic", n=3))
     H = taft(3, C3)
     d = normalized_pair(H)
-    assert right_map_formula_agrees(H, d)
+    assert chromatic_right_hopf(H, d).matrix == cop_transported_right_map(H)
     G = regular_module(H)
     cl = chromatic_left_hopf(H, d)
     cr = chromatic_right_hopf(H, d)

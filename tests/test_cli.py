@@ -106,13 +106,15 @@ def test_check_inject_fault(capsys):
     assert code == 1
     assert "NOT-EQUAL" in out and "first mismatch at" in out
 
-    # a position outside the matrix is an input error, not a failed check
-    for fault in ("99,99", "-1,0"):
-        code, out, err = run(capsys, "check", "--builtin", "group:Z2", "--side",
-                             "left", f"--inject-fault={fault}")
-        assert code == 2
-        assert "input error" in err and "4x4" in err
-        assert "Traceback" not in out + err
+    # a position outside the matrix is an input error, not a failed check,
+    # whether the value is attached with "=" or given as the next argument
+    for fault in ("99,99", "-1,0", "0,-1"):
+        for spelling in ([f"--inject-fault={fault}"], ["--inject-fault", fault]):
+            code, out, err = run(capsys, "check", "--builtin", "group:Z2", "--side",
+                                 "left", *spelling)
+            assert code == 2, spelling
+            assert "input error" in err and "4x4" in err, spelling
+            assert "Traceback" not in out + err
 
 
 def test_check_expr(capsys):
@@ -167,3 +169,37 @@ def test_check_json_spherical_grid(capsys):
     assert code == 0 and payload["all_equal"] is True
     assert {g["side"] for g in payload["grid"]} == {"left", "right", "spherical"}
     assert {g["P"] for g in payload["grid"]} == {"H", "split(H)"}
+
+
+def test_check_builds_one_hopf_algebra(capsys, monkeypatch):
+    # the right chromatic map comes from H's own coproduct: no H^cop, no
+    # second axiom suite and no second set of integrals
+    import sys
+
+    import hopfchrom.hopf as hopf_module
+    import hopfchrom.integrals as integrals_module
+
+    calls = {"hopf_make": 0, "normalized_pair": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((hopf_module, "hopf_make"), (integrals_module, "normalized_pair")):
+        orig = getattr(owner, name)
+        wrapper = counted(name, orig)
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("hopfchrom") and mod is not None:
+                for key, value in list(vars(mod).items()):
+                    if value is orig:
+                        monkeypatch.setattr(mod, key, wrapper)
+
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("check built H^cop")
+
+    monkeypatch.setattr(hopf_module.HopfAlgebra, "cop", forbidden)
+    code, out, _ = run(capsys, "check", "--builtin", "taft:3", "--field", "GF:7")
+    assert code == 0 and "all identities hold" in out
+    assert calls == {"hopf_make": 1, "normalized_pair": 1}

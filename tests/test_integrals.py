@@ -18,7 +18,13 @@ from hopfchrom import (
     pivot_candidates,
 )
 from hopfchrom.hopf import pairing, vec_scale
-from hopfchrom.integrals import _pivot_condition_failures
+from hopfchrom.cli import _make_builtin, _parse_field
+from hopfchrom.integrals import (
+    _grouplikes_on_plane,
+    _intertwiner_space,
+    _pivot_condition_failures,
+    _poly_gcd,
+)
 
 
 def _proportional(field, a, b):
@@ -269,3 +275,32 @@ def test_pivot_candidates_accept_hints(z2):
     # hints are deduplicated against the complete search and re-verified
     cands = pivot_candidates(z2, d, hints=([1, 1], [0, 1]))
     assert [p.g for p in cands] == [z2.basis_vector(0), z2.basis_vector(1)]
+
+
+def test_plane_search_pivots_over_q_and_gf7():
+    # dim V = 2 on both algebras, so the search runs through the counit-line
+    # elimination and the polynomial gcd
+    want = {
+        ("group:Z2", "Q"): ([[0, 1], [1, 0]], [["1", "0"], ["0", "1"]]),
+        ("group:Z2", "GF:7"): ([[0, 1], [1, 0]], [["1", "0"], ["0", "1"]]),
+        ("dualgroup:Z2", "Q"): ([[1, -1], [1, 1]], [["1", "1"], ["1", "-1"]]),
+        ("dualgroup:Z2", "GF:7"): ([[1, 1], [1, 6]], [["1", "1"], ["1", "6"]]),
+    }
+    for (name, spec), (plane, pivots) in want.items():
+        H = _make_builtin(name, _parse_field(spec))
+        V = _intertwiner_space(H)
+        assert V.ncols == 2, (name, spec)
+        vecs, complete = _grouplikes_on_plane(H, V.col_list(0), V.col_list(1))
+        assert complete and vecs == [H.element(v) for v in plane], (name, spec)
+        got = [H.format_vector(p.g) for p in pivot_candidates(H, normalized_pair(H))]
+        assert got == pivots, (name, spec)
+
+
+def test_poly_gcd_is_monic_and_trimmed(Q, F7):
+    # (s - 1)(s - 2) and (s - 1)(s + 3): gcd s - 1, whatever the scaling
+    for f in (Q, F7):
+        a = [f.coerce(v) for v in (4, -6, 2)]
+        b = [f.coerce(v) for v in (-3, 2, 1, 0)]
+        assert _poly_gcd(f, a, b) == [f.coerce(-1), f.one]
+        assert _poly_gcd(f, a, [f.zero]) == [f.coerce(2), f.coerce(-3), f.one]
+        assert _poly_gcd(f, [f.coerce(5)], a) == [f.one]

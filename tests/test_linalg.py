@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfchrom import (
+    FieldMismatchError,
     FieldSpec,
     Matrix,
     NoSolutionError,
@@ -179,3 +180,43 @@ def test_kron_apply_matches_kronecker_product(data):
     B = rand_matrix(data.draw, outer * ca * inner, width, f)
     full = Matrix.identity(f, outer).kron(A).kron(Matrix.identity(f, inner))
     assert A.kron_apply(B, outer, inner) == full @ B
+
+
+def _scale_and_add(field, nrows, ncols, terms):
+    out = Matrix.zeros(field, nrows, ncols)
+    for c, A in terms:
+        out = out + A.scale(c)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_combination_matches_scale_and_add(data):
+    for f in (Q, F7):
+        terms = [(f.coerce(data.draw(small_entries)), rand_matrix(data.draw, 2, 3, f))
+                 for _ in range(data.draw(st.integers(0, 4)))]
+        if data.draw(st.booleans()):
+            # append the negated terms: the sum cancels exactly to zero
+            terms += [(f.neg(c), A) for c, A in terms]
+        got = Matrix.combination(f, 2, 3, terms)
+        assert got == _scale_and_add(f, 2, 3, terms)
+        assert all(v != f.zero for _, _, v in got.nonzero_items())
+
+
+def test_combination_cancels_exactly_to_zero():
+    A = M([[1, 0, 3], [0, 5, 6]], F7)
+    # 3A + 4A = 7A = 0 over GF(7): every entry cancels and none may be kept
+    got = Matrix.combination(F7, 2, 3, [(3, A), (4, A)])
+    assert got == Matrix.zeros(F7, 2, 3) and got.nnz() == 0
+    # partial cancellation keeps only the surviving entries
+    B = M([[6, 0, 0], [0, 0, 1]], F7)
+    got = Matrix.combination(F7, 2, 3, [(1, A), (1, B)])
+    assert got == A + B and got._rows == [{2: 3}, {1: 5}]
+    assert Matrix.combination(F7, 2, 3, []) == Matrix.zeros(F7, 2, 3)
+
+
+def test_combination_rejects_mismatched_terms():
+    with pytest.raises(ShapeError):
+        Matrix.combination(Q, 2, 2, [(Q.one, Matrix.identity(Q, 3))])
+    with pytest.raises(FieldMismatchError):
+        Matrix.combination(Q, 2, 2, [(F7.one, Matrix.identity(F7, 2))])

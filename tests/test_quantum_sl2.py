@@ -5,6 +5,7 @@ so it exercises the pivot-twisted evaluations with an honest pivot (K).
 """
 
 import pytest
+from helpers import cop_transported_right_map
 
 from hopfchrom import (
     FieldSpec,
@@ -21,7 +22,6 @@ from hopfchrom import (
     normalized_pair,
     pivot_candidates,
     regular_module,
-    right_map_formula_agrees,
     split_idempotent,
     trivial_module,
     verify_chromatic_identity,
@@ -73,7 +73,7 @@ def test_left_right_identities_small_x(uq):
     G = regular_module(H)
     cl = chromatic_left_hopf(H, d)
     cr = chromatic_right_hopf(H, d)
-    assert right_map_formula_agrees(H, d)
+    assert cr.matrix == cop_transported_right_map(H)
     for X in (trivial_module(H), alpha_module(H, d)):
         assert verify_chromatic_identity(H, d, cl, G, X, "left").equal
         assert verify_chromatic_identity(H, d, cr, G, X, "right").equal
