@@ -175,9 +175,9 @@ class RetractFamily:
 
     def validate(self):
         f = self.P.H.field
+        G = regular_module(self.P.H)
         for fi, gi in self.maps:
-            if not words_match(fi.source, (self.P,)) or len(fi.target) != 1 \
-                    or fi.target[0].label != "H":
+            if not words_match(fi.source, (self.P,)) or not words_match(fi.target, (G,)):
                 raise MorphismTypeError(f"bad retract map {fi!r}")
             if not words_match(gi.target, (self.P,)) or not words_match(
                     gi.source, fi.target):

@@ -72,8 +72,10 @@ class HModule:
                                   ((c, m) for c, m in zip(a, self.action) if c != zero))
 
     def same_as(self, other: "HModule") -> bool:
+        """Same algebra, dimension, label and action matrices."""
         return (
             self.H is other.H and self.dim == other.dim and self.label == other.label
+            and self.action == other.action
         )
 
     def __repr__(self) -> str:

@@ -22,7 +22,7 @@ from .fields import (
     _poly_divmod,
     _rational_is_square,
 )
-from .hopf import HopfAlgebra, HopfDataError, pairing, vec_is_zero, vec_scale
+from .hopf import HopfAlgebra, HopfDataError, pairing, vec_scale
 from .linalg import Matrix, stacked_nullspace
 
 __all__ = [
@@ -221,6 +221,15 @@ def _pivot_condition_failures(H: HopfAlgebra, data: IntegralData, v: list) -> li
     return fails
 
 
+def _is_pivot(H: HopfAlgebra, data: IntegralData, v: list) -> bool:
+    """Whether ``v`` is a pivot.  eps(v) = 1 (one pairing) and v^2 = a (one
+    product) are necessary, so only candidates passing both reach the full
+    three-condition check."""
+    return (H.counit_apply(v) == H.field.one
+            and H.multiply(v, v) == data.distinguished_grouplike
+            and not _pivot_condition_failures(H, data, v))
+
+
 def _intertwiner_space(H: HopfAlgebra) -> Matrix:
     """Nullspace of ``S^2(h) v = v h`` over all basis h."""
     S2 = H.antipode_squared()
@@ -349,7 +358,9 @@ def pivot_candidates(H: HopfAlgebra, data: IntegralData | None = None,
     The intertwiner space V of S^2(h) v = v h is searched completely when
     dim V <= 2 (counit-line elimination plus exact quadratic roots) or when
     the field is finite and |F|^dim V <= exhaust_limit; the unit, the basis
-    vectors and user hints are always tested.  Raises
+    vectors and user hints are always tested.  The exhaustive branch builds
+    only the points with eps(v) = 1, and every candidate is checked by
+    ``_is_pivot``: eps(v) = 1, then v^2 = a, then all three conditions.  Raises
     PivotSearchInconclusive when the search was not exhaustive and nothing
     was found -- distinct from a definitive empty answer.
     """
@@ -373,8 +384,11 @@ def pivot_candidates(H: HopfAlgebra, data: IntegralData | None = None,
     if not complete and f.finite:
         points = f.characteristic() ** d
         if points <= exhaust_limit:
+            # eps(V c) = sum_k c_k eps(u_k): build only the slice eps = 1
+            eps = [H.counit_apply(V.col_list(k)) for k in range(d)]
             candidates.extend(V.apply(list(coeffs))
-                              for coeffs in product(f.elements(), repeat=d))
+                              for coeffs in product(f.elements(), repeat=d)
+                              if pairing(f, eps, coeffs) == f.one)
             complete = True
     # cheap deterministic candidates, useful when the search is not complete
     candidates.append(H.unit_vector())
@@ -388,9 +402,7 @@ def pivot_candidates(H: HopfAlgebra, data: IntegralData | None = None,
         if key in seen:
             continue
         seen.add(key)
-        if vec_is_zero(f, v):
-            continue
-        if not _pivot_condition_failures(H, data, v):
+        if _is_pivot(H, data, v):
             found.append(v)
     if not found and not complete:
         raise PivotSearchInconclusive(

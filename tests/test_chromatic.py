@@ -154,6 +154,26 @@ def test_retract_identity_family_returns_map_unchanged(h4, corpus_data):
         assert ext.matrix == base.matrix
 
 
+def test_retract_rejects_module_only_labelled_regular(h4, corpus_data):
+    # four copies of triv, labelled "H": a module, but not the regular one
+    _, d = corpus_data["sweedler"]
+    f = h4.field
+    ident = Matrix.identity(f, 4)
+    fake = module_make(h4, [ident.scale(e) for e in h4.counit], "H")
+    G = regular_module(h4)
+    assert not fake.same_as(G) and not G.same_as(fake)
+    assert regular_module(h4).same_as(G)
+    assert module_make(h4, [m.transpose().transpose() for m in G.action], "H").same_as(G)
+    maps = [(Morphism((fake,), (fake,), ident), Morphism((fake,), (fake,), ident))]
+    with pytest.raises(MorphismTypeError):
+        RetractFamily.make(fake, maps)
+    fam = RetractFamily.make(fake, maps, check=False)
+    for side, base in (("left", chromatic_left_hopf(h4, d)),
+                       ("right", chromatic_right_hopf(h4, d))):
+        with pytest.raises(MorphismTypeError, match="cannot compose"):
+            chromatic_retract(h4, base, fam, side, check=False)
+
+
 def _double_regular(H):
     f = H.field
     n = H.dim

@@ -6,6 +6,8 @@ import hopfchrom.integrals as integrals_module
 from hopfchrom import (
     FieldSpec,
     GroupTable,
+    HopfAlgebra,
+    Matrix,
     PivotSearchInconclusive,
     alpha_left_ideal,
     cointegral_space,
@@ -129,21 +131,65 @@ def test_pivot_condition_rejection(z2, h4, t3):
 
 
 def test_pivot_conditions_match_lambda_loop_reference(corpus_data, monkeypatch):
+    # the hook sits on the search's predicate, so it sees every candidate,
+    # also those the eps(v) = 1 and v^2 = a pre-checks turn away
     tested = []
-    library = integrals_module._pivot_condition_failures
+    library = integrals_module._is_pivot
 
     def recording(H, data, v):
-        fails = library(H, data, v)
-        tested.append((H, data, v, fails))
-        return fails
+        verdict = library(H, data, v)
+        tested.append((H, data, v, verdict))
+        return verdict
 
-    monkeypatch.setattr(integrals_module, "_pivot_condition_failures", recording)
-    for H, d in corpus_data.values():
+    monkeypatch.setattr(integrals_module, "_is_pivot", recording)
+    inputs = dict(corpus_data)
+    for name in ("taft:3", "group:S3"):  # dim V = 1 and 3 over GF(7)
+        H = _make_builtin(name, _parse_field("GF:7"))
+        inputs[f"{name}/GF:7"] = (H, normalized_pair(H))
+    for H, d in inputs.values():
         pivot_candidates(H, d)
-    assert {H.name for H, _, _, _ in tested} == set(corpus_data)
-    assert any(fails == ["unibalanced"] for _, _, _, fails in tested)
-    for H, d, v, fails in tested:
-        assert fails == pivot_condition_failures_reference(H, d, v), (H.name, v)
+    assert {(H.name, H.field.spec) for H, _, _, _ in tested} == \
+        {(H.name, H.field.spec) for H, _ in inputs.values()}
+    unibalanced_only = False
+    for H, d, v, verdict in tested:
+        reference = pivot_condition_failures_reference(H, d, v)
+        assert verdict == (reference == []), (H.name, v)
+        assert _pivot_condition_failures(H, d, v) == reference, (H.name, v)
+        unibalanced_only |= reference == ["unibalanced"]
+    assert unibalanced_only
+
+
+def _counted_pivot_search(H, d, monkeypatch):
+    calls = {"multiply": 0, "apply": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(HopfAlgebra, "multiply", counted("multiply", HopfAlgebra.multiply))
+    monkeypatch.setattr(Matrix, "apply", counted("apply", Matrix.apply))
+    pivots = pivot_candidates(H, d)
+    monkeypatch.undo()
+    return pivots, calls
+
+
+def test_pivot_search_builds_only_the_counit_slice(monkeypatch):
+    # uqsl2:3 over GF(7): dim V = 4, so the search is exhaustive over 7^4
+    # points; only the 7^3 with eps(v) = 1 are built, and only candidates
+    # with eps(v) = 1 and v^2 = a reach the full three-condition check
+    H = _make_builtin("uqsl2:3", _parse_field("GF:7"))
+    d = normalized_pair(H)
+    assert _intertwiner_space(H).ncols == 4
+    pivots, calls = _counted_pivot_search(H, d, monkeypatch)
+    assert [p.g for p in pivots] == [H.basis_vector(H.basis_names.index("K"))]
+    assert calls["multiply"] <= 1000, calls
+    assert calls["apply"] <= 400, calls
+    S3 = _make_builtin("group:S3", _parse_field("GF:7"))
+    assert _intertwiner_space(S3).ncols == 3
+    pivots, _ = _counted_pivot_search(S3, normalized_pair(S3), monkeypatch)
+    assert [S3.format_vector(p.g) for p in pivots] == [["1", "0", "0", "0", "0", "0"]]
 
 
 def test_is_spherical(corpus_data):
@@ -304,3 +350,41 @@ def test_poly_gcd_is_monic_and_trimmed(Q, F7):
         assert _poly_gcd(f, a, b) == [f.coerce(-1), f.one]
         assert _poly_gcd(f, a, [f.zero]) == [f.coerce(2), f.coerce(-3), f.one]
         assert _poly_gcd(f, [f.coerce(5)], a) == [f.one]
+
+
+def _radford_s4_rhs(H, d, h, invert_a=False, swap_hooks=False):
+    """``a (phi -> h <- psi) a^-1`` with ``phi -> h <- psi = psi(h_(1)) h_(2)
+    phi(h_(3))``, phi = alpha^-1 = alpha o S and psi = alpha; the flags put
+    a^-1 on the left instead, and swap phi and psi."""
+    f = H.field
+    phi = H.antipode.transpose().apply(d.alpha)
+    psi = list(d.alpha)
+    if swap_hooks:
+        phi, psi = psi, phi
+    a = d.distinguished_grouplike
+    a_inv = H.antipode_apply(a)
+    if invert_a:
+        a, a_inv = a_inv, a
+    hooked = H.zero_vector()
+    for (i, j, k), c in H.coproduct_iter(2, h).items():
+        hooked[j] = f.add(hooked[j], f.mul(c, f.mul(psi[i], phi[k])))
+    return H.multiply(H.multiply(a, hooked), a_inv)
+
+
+def test_radford_s4_formula(corpus_data):
+    # Radford (1976): S^4(h) = a (alpha -> h <- alpha^-1) a^-1 for the alpha of
+    # Lambda h = alpha(h) Lambda.  Here alpha is defined by Lambda S(h) =
+    # alpha(h) Lambda, its convolution inverse, so the hooks swap.  Taft(3)
+    # tells the four placements of the inverses apart; Sweedler fits all four
+    forms = [(False, False), (False, True), (True, False), (True, True)]
+    pinned = {"taft:3": forms[:1], "sweedler": forms}
+    inputs = dict(corpus_data)
+    uq = _make_builtin("uqsl2:3", _parse_field("GF:7"))
+    inputs["uqsl2:3"] = (uq, normalized_pair(uq))
+    for name, (H, d) in inputs.items():
+        S4 = H.antipode_squared() @ H.antipode_squared()
+        holding = [form for form in forms
+                   if all(S4.col_list(i) == _radford_s4_rhs(H, d, H.basis_vector(i), *form)
+                          for i in range(H.dim))]
+        assert holding[:1] == forms[:1], name
+        assert holding == pinned.get(name, holding), name
