@@ -14,7 +14,6 @@ from .fields import (
     FieldSpec,
     PrimeField,
     RationalField,
-    Scalar,
     field_make,
     primitive_root_of_unity,
 )
@@ -24,7 +23,6 @@ from .linalg import (
     NoSolutionError,
     ShapeError,
     SingularMatrixError,
-    kron,
 )
 from .hopf import (
     HopfAlgebra,

@@ -8,8 +8,7 @@ A scalar is a raw payload interpreted by a Field context:
                     ``1, z, z^2, ...`` modulo the n-th cyclotomic polynomial
 
 All payloads are canonical by construction, so ``==`` on payloads decides
-equality of scalars of a common field.  The ``Scalar`` wrapper pairs a payload
-with its field for contexts where values from different fields may meet.
+equality of scalars of a common field.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "RationalField",
     "PrimeField",
     "CyclotomicField",
-    "Scalar",
     "FieldError",
     "FieldMismatchError",
     "field_make",
@@ -159,9 +157,6 @@ class Field:
 
     def elements(self):
         raise FieldError(f"{self.spec} is not finite")
-
-    def scalar(self, v) -> "Scalar":
-        return Scalar(self, self.coerce(v))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Field) and self.spec == other.spec
@@ -459,66 +454,6 @@ def _poly_divmod(field: Field, a: list, b: list):
             for j in range(db + 1):
                 a[i + j] = field.sub(a[i + j], field.mul(c, b[j]))
     return q, a
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """A payload tagged with its field; supports mixed-field detection."""
-
-    field: Field
-    value: object
-
-    def _peer(self, other) -> "Scalar":
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"mixed fields {self.field.spec} and {other.field.spec}"
-                )
-            return other
-        return Scalar(self.field, self.field.coerce(other))
-
-    def __add__(self, other):
-        o = self._peer(other)
-        return Scalar(self.field, self.field.add(self.value, o.value))
-
-    def __sub__(self, other):
-        o = self._peer(other)
-        return Scalar(self.field, self.field.sub(self.value, o.value))
-
-    def __mul__(self, other):
-        o = self._peer(other)
-        return Scalar(self.field, self.field.mul(self.value, o.value))
-
-    def __truediv__(self, other):
-        o = self._peer(other)
-        return Scalar(self.field, self.field.div(self.value, o.value))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def __pow__(self, k: int):
-        return Scalar(self.field, self.field.pow(self.value, k))
-
-    def inv(self) -> "Scalar":
-        return Scalar(self.field, self.field.inv(self.value))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"mixed fields {self.field.spec} and {other.field.spec}"
-                )
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field.spec, self.value))
-
-    def __str__(self) -> str:
-        return self.field.format(self.value)
-
-    def __repr__(self) -> str:
-        return f"Scalar({self.field.spec}, {self})"
 
 
 def field_make(spec: FieldSpec) -> Field:

@@ -29,7 +29,6 @@ __all__ = [
     "HopfDataError",
     "hopf_make",
     "vec_scale",
-    "vec_is_zero",
     "pairing",
 ]
 
@@ -54,10 +53,6 @@ class HopfAxiomError(ValueError):
 
 def vec_scale(field: Field, s, a: list) -> list:
     return [field.mul(s, x) for x in a]
-
-
-def vec_is_zero(field: Field, a: list) -> bool:
-    return all(x == field.zero for x in a)
 
 
 def pairing(field: Field, phi: list, v: list):
@@ -191,21 +186,6 @@ class HopfAlgebra:
                 rest = key[1:]
                 for (p, q), c in self.comult[key[0]].items():
                     nk = (p, q) + rest
-                    nxt[nk] = f.add(nxt.get(nk, zero), f.mul(v, c))
-            cur = {key: v for key, v in nxt.items() if v != zero}
-        return cur
-
-    def coproduct_iter_last(self, k: int, a: list) -> dict:
-        """Same tensor computed by expanding the last leg; for cross-checks."""
-        f = self.field
-        zero = f.zero
-        cur = {(i,): x for i, x in enumerate(a) if x != zero}
-        for _ in range(k):
-            nxt: dict = {}
-            for key, v in cur.items():
-                head = key[:-1]
-                for (p, q), c in self.comult[key[-1]].items():
-                    nk = head + (p, q)
                     nxt[nk] = f.add(nxt.get(nk, zero), f.mul(v, c))
             cur = {key: v for key, v in nxt.items() if v != zero}
         return cur
@@ -411,8 +391,8 @@ def _verify_axioms(field, dim, mult, unit, comult, counit, S):
     n = dim
     ident = Matrix.identity(field, n)
     M, D = _structure_matrices(field, mult, comult)
-    u_col = Matrix.column(field, unit)
-    eps_row = Matrix.row_vector(field, counit)
+    u_col = Matrix.from_columns(field, [unit])
+    eps_row = Matrix.from_rows(field, [counit])
 
     # associativity: m(m ox id) = m(id ox m), n x n^3
     _expect_equal(

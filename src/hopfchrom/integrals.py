@@ -68,45 +68,40 @@ def _eigen_space(H: HopfAlgebra, mult_matrix, chi: list) -> Matrix:
     return stacked_nullspace([mult_matrix(i) - ident.scale(chi[i]) for i in range(H.dim)])
 
 
+def _line(H: HopfAlgebra, basis: Matrix, what: str) -> Matrix:
+    """``basis`` if it has one column, else corrupted input data."""
+    if basis.ncols != 1:
+        raise HopfDataError(
+            f"{what} space of {H.name} has dimension {basis.ncols}, "
+            "expected 1: corrupted input data"
+        )
+    return basis
+
+
 def cointegral_space(H: HopfAlgebra, side: str) -> Matrix:
     """Basis (one column) of left or right cointegrals in H."""
     mult = H.left_mult_matrix if side == "left" else H.right_mult_matrix
-    basis = _eigen_space(H, mult, H.counit)
-    if basis.ncols != 1:
-        raise HopfDataError(
-            f"{side} cointegral space of {H.name} has dimension {basis.ncols}, "
-            "expected 1: corrupted input data"
-        )
-    return basis
+    return _line(H, _eigen_space(H, mult, H.counit), f"{side} cointegral")
 
 
 def integral_space(H: HopfAlgebra, side: str) -> Matrix:
-    """Basis (one column) of left or right integrals in H*."""
-    f = H.field
+    """Basis (one column) of left or right integrals in H*.
+
+    The eigenspace of the regular action of H* with the counit of H* as
+    eigenvalue: lambda e^j = e^j(1) lambda (right) or e^i lambda = e^i(1)
+    lambda (left), where ``R_j[k][i] = c_k^{ij}`` is the matrix of
+    ``phi -> phi e^j`` and ``L_i[k][j] = c_k^{ij}`` that of ``phi -> e^i phi``.
+    """
     n = H.dim
-    zero = f.zero
-    entries: dict = {}
-    # right:  sum_i lambda_i c[k][(i, j)] = lambda_k u_j   rows (k, j)
-    # left:   sum_j lambda_j c[k][(i, j)] = lambda_k u_i   rows (k, i)
-    for k in range(n):
-        for (i, j), c in H.comult[k].items():
+    slices = [{} for _ in range(n)]
+    for k, terms in enumerate(H.comult):
+        for (i, j), c in terms.items():
             if side == "right":
-                entries[(k * n + j, i)] = f.add(entries.get((k * n + j, i), zero), c)
+                slices[j][(k, i)] = c
             else:
-                entries[(k * n + i, j)] = f.add(entries.get((k * n + i, j), zero), c)
-    for k in range(n):
-        for m in range(n):
-            u = H.unit[m]
-            if u != zero:
-                key = (k * n + m, k)
-                entries[key] = f.sub(entries.get(key, zero), u)
-    basis = Matrix.from_entries(f, n * n, n, entries).nullspace()
-    if basis.ncols != 1:
-        raise HopfDataError(
-            f"{side} integral space of {H.name} has dimension {basis.ncols}, "
-            "expected 1: corrupted input data"
-        )
-    return basis
+                slices[i][(k, j)] = c
+    mats = [Matrix.from_entries(H.field, n, n, e) for e in slices]
+    return _line(H, _eigen_space(H, mats.__getitem__, H.unit), f"{side} integral")
 
 
 def alpha_left_ideal(H: HopfAlgebra, alpha: list) -> Matrix:
@@ -166,28 +161,14 @@ def normalized_pair(H: HopfAlgebra) -> IntegralData:
     if s == f.zero:
         raise HopfDataError("lambda(Lambda) = 0: corrupted Hopf data")
     lam = vec_scale(f, f.inv(s), lam)
-    # alpha(e_j) from Lambda S(e_j) = alpha_j Lambda, one coordinate suffices
+    # alpha from one coordinate of Lambda S(e_j), a from the first lambda_k != 0;
+    # _check_integral_invariants verifies both characterizations on every basis h
     p = next(i for i, v in enumerate(Lam) if v != f.zero)
-    alpha = []
-    for j in range(H.dim):
-        w = H.multiply(Lam, H.antipode_vector(j))
-        t = f.div(w[p], Lam[p])
-        if w != vec_scale(f, t, Lam):
-            raise HopfDataError(f"inconsistent alpha system at basis {j}")
-        alpha.append(t)
-    # a from lambda(h_(2)) h_(1) = lambda(h) a
-    a = None
-    vs = []
-    for k in range(H.dim):
-        _, v = _lambda_legs(H, lam, k)
-        vs.append(v)
-        if a is None and lam[k] != f.zero:
-            a = vec_scale(f, f.inv(lam[k]), v)
-    if a is None:
-        raise HopfDataError("right integral is zero: corrupted Hopf data")
-    for k in range(H.dim):
-        if vs[k] != vec_scale(f, lam[k], a):
-            raise HopfDataError(f"inconsistent distinguished grouplike at basis {k}")
+    inv_p = f.inv(Lam[p])
+    alpha = [f.mul(H.multiply(Lam, H.antipode_vector(j))[p], inv_p)
+             for j in range(H.dim)]
+    k = next(k for k, v in enumerate(lam) if v != f.zero)
+    a = vec_scale(f, f.inv(lam[k]), _lambda_legs(H, lam, k)[1])
     data = IntegralData(H, Lam, lam, alpha, a)
     _check_integral_invariants(H, data)
     return data

@@ -22,7 +22,6 @@ __all__ = [
     "ShapeError",
     "SingularMatrixError",
     "NoSolutionError",
-    "kron",
     "permutation_matrix",
     "stacked_nullspace",
 ]
@@ -93,18 +92,6 @@ class Matrix:
             if v != zero:
                 rows[i][j] = v
         return cls(field, nrows, ncols, rows)
-
-    @classmethod
-    def column(cls, field: Field, vector) -> "Matrix":
-        vec = [field.coerce(v) for v in vector]
-        rows = [({0: v} if v != field.zero else {}) for v in vec]
-        return cls(field, len(vec), 1, rows)
-
-    @classmethod
-    def row_vector(cls, field: Field, vector) -> "Matrix":
-        vec = [field.coerce(v) for v in vector]
-        row = {j: v for j, v in enumerate(vec) if v != field.zero}
-        return cls(field, 1, len(vec), [row])
 
     @classmethod
     def from_columns(cls, field: Field, columns) -> "Matrix":
@@ -210,25 +197,9 @@ class Matrix:
             )
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_peer(other)
-        if self.shape != other.shape:
-            raise ShapeError(f"add {self.shape} vs {other.shape}")
-        f = self.field
-        add, zero = f.add, f.zero
-        rows = []
-        for a, b in zip(self._rows, other._rows):
-            out = dict(a)
-            for j, v in b.items():
-                if j in out:
-                    s = add(out[j], v)
-                    if s == zero:
-                        del out[j]
-                    else:
-                        out[j] = s
-                else:
-                    out[j] = v
-            rows.append(out)
-        return Matrix(f, self.nrows, self.ncols, rows)
+        one = self.field.one
+        return Matrix.combination(self.field, self.nrows, self.ncols,
+                                  ((one, self), (one, other)))
 
     def __neg__(self) -> "Matrix":
         neg = self.field.neg
@@ -236,7 +207,9 @@ class Matrix:
         return Matrix(self.field, self.nrows, self.ncols, rows)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        f = self.field
+        return Matrix.combination(f, self.nrows, self.ncols,
+                                  ((f.one, self), (f.neg(f.one), other)))
 
     def scale(self, s) -> "Matrix":
         f = self.field
@@ -427,22 +400,7 @@ class Matrix:
 
     def solve(self, b: list) -> list:
         """One exact solution of ``Ax = b`` with free variables set to zero."""
-        if len(b) != self.nrows:
-            raise ShapeError(f"solve {self.shape} against length {len(b)}")
-        f = self.field
-        aug_rows = [dict(r) for r in self._rows]
-        for i, v in enumerate(b):
-            v = f.coerce(v)
-            if v != f.zero:
-                aug_rows[i][self.ncols] = v
-        aug = Matrix(f, self.nrows, self.ncols + 1, aug_rows)
-        R, rank, pivots = aug.rref()
-        if pivots and pivots[-1] == self.ncols:
-            raise NoSolutionError("no solution")
-        x = [f.zero] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = R.entry(r, self.ncols)
-        return x
+        return self.solve_matrix(Matrix.from_columns(self.field, [b])).col_list(0)
 
     def solve_matrix(self, Bmat: "Matrix") -> "Matrix":
         """Exact X with ``A X = B`` (free variables zero, per column)."""
@@ -466,27 +424,17 @@ class Matrix:
         return Matrix(f, self.ncols, Bmat.ncols, out)
 
     def inverse(self) -> "Matrix":
-        """Exact inverse; raises SingularMatrixError when rank deficient."""
+        """Exact inverse; raises SingularMatrixError when rank deficient.
+
+        ``[A | I]`` has rank n, so a pivot lands in the ``I`` block, and
+        ``A X = I`` has no solution, exactly when ``A`` is singular.
+        """
         if self.nrows != self.ncols:
             raise ShapeError(f"inverse of non-square {self.shape}")
-        n = self.nrows
-        f = self.field
-        aug_rows = [dict(r) for r in self._rows]
-        for i in range(n):
-            aug_rows[i][self.ncols + i] = f.one
-        aug = Matrix(f, n, 2 * n, aug_rows)
-        R, rank, pivots = aug.rref()
-        if rank < n or any(pc >= n for pc in pivots):
-            raise SingularMatrixError("singular matrix")
-        rows = [
-            {j - n: v for j, v in R._rows[i].items() if j >= n} for i in range(n)
-        ]
-        return Matrix(f, n, n, rows)
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Function form of :meth:`Matrix.kron`."""
-    return a.kron(b)
+        try:
+            return self.solve_matrix(Matrix.identity(self.field, self.nrows))
+        except NoSolutionError:
+            raise SingularMatrixError("singular matrix") from None
 
 
 def stacked_nullspace(blocks: list[Matrix]) -> Matrix:

@@ -5,9 +5,10 @@ Kronecker-product evaluator of expression trees, the reference for
 ``calculus.evaluate``, the Kronecker/permutation form of the
 comultiplication-algebra-map sides, the reference for the contraction in
 ``hopf_make``, the lambda-loop pivot conditions, the reference for
-``integrals._pivot_condition_failures``, and the right chromatic map
+``integrals._pivot_condition_failures``, the right chromatic map
 transported from the left map of H^cop, the reference for
-``chromatic_right_hopf``."""
+``chromatic_right_hopf``, and the iterated coproduct expanded on the last
+leg, the reference for ``HopfAlgebra.coproduct_iter``."""
 
 from __future__ import annotations
 
@@ -45,6 +46,21 @@ def kron_evaluate(expr) -> Morphism:
     raise MorphismTypeError(f"unknown expression node {expr!r}")
 
 
+def coproduct_iter_last(H: HopfAlgebra, k: int, a: list) -> dict:
+    """``Delta^(k)(a)`` by the recursion ``(id^{ox k-1} ox Delta) Delta^(k-1)``,
+    which expands the last leg where the library expands the first."""
+    f = H.field
+    cur = {(i,): x for i, x in enumerate(a) if x != f.zero}
+    for _ in range(k):
+        nxt: dict = {}
+        for key, v in cur.items():
+            for (p, q), c in H.comult[key[-1]].items():
+                nk = key[:-1] + (p, q)
+                nxt[nk] = f.add(nxt.get(nk, f.zero), f.mul(v, c))
+        cur = {key: v for key, v in nxt.items() if v != f.zero}
+    return cur
+
+
 def left_map_by_direct_expansion(H: HopfAlgebra, d) -> Matrix:
     """The left chromatic map expanded element by element from its formula,
     over ``coproduct_iter_last``, independently of the library's builder."""
@@ -53,7 +69,7 @@ def left_map_by_direct_expansion(H: HopfAlgebra, d) -> Matrix:
     lam, alpha = d.right_integral, d.alpha
     entries = {}
     for y in range(n):
-        for key, c in H.coproduct_iter_last(3, H.basis_vector(y)).items():
+        for key, c in coproduct_iter_last(H, 3, H.basis_vector(y)).items():
             y1, y2, y3, y4 = key
             for x in range(n):
                 prod = H.multiply(H.antipode_vector(y1), H.basis_vector(x))

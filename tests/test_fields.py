@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from hopfchrom import (
     FieldError,
-    FieldMismatchError,
     FieldSpec,
-    Scalar,
     field_make,
     primitive_root_of_unity,
 )
@@ -102,19 +100,6 @@ def test_primitive_root_order_checked_exhaustively(F7):
         q = primitive_root_of_unity(F7, n)
         assert F7.pow(q, n) == F7.one
         assert all(F7.pow(q, k) != F7.one for k in range(1, n))
-
-
-def test_scalar_wrapper_mixed_fields(Q, F7):
-    a = Q.scalar(2)
-    b = F7.scalar(2)
-    with pytest.raises(FieldMismatchError):
-        _ = a + b
-    with pytest.raises(FieldMismatchError):
-        _ = a == b
-    assert (a * Q.scalar(Fraction(1, 2))).value == Fraction(1)
-    assert (-a).value == Fraction(-2)
-    assert str(F7.scalar(3) ** 2) == "2"
-    assert Scalar(F7, 3).inv().value == 5
 
 
 # -- randomized field axioms ---------------------------------------------------

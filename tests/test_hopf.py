@@ -2,6 +2,7 @@
 import pytest
 from helpers import (
     axiom_violated,
+    coproduct_iter_last,
     dense_tensors,
     kron_comult_algebra_map_sides,
     mutate,
@@ -71,7 +72,7 @@ def test_coproduct_parenthesization_independent(corpus):
         for k in (1, 2, 3):
             for i in range(H.dim):
                 v = H.basis_vector(i)
-                assert H.coproduct_iter(k, v) == H.coproduct_iter_last(k, v)
+                assert H.coproduct_iter(k, v) == coproduct_iter_last(H, k, v)
 
 
 def test_antipode_examples(h4):
