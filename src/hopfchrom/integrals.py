@@ -338,9 +338,10 @@ def pivot_candidates(H: HopfAlgebra, data: IntegralData | None = None,
 
     The intertwiner space V of S^2(h) v = v h is searched completely when
     dim V <= 2 (counit-line elimination plus exact quadratic roots) or when
-    the field is finite and |F|^dim V <= exhaust_limit; the unit, the basis
+    the field is finite and the slice eps(v) = 1 of V, which has |F|^(dim V - 1)
+    points or none, has at most exhaust_limit points; the unit, the basis
     vectors and user hints are always tested.  The exhaustive branch builds
-    only the points with eps(v) = 1, and every candidate is checked by
+    only the points of that slice, and every candidate is checked by
     ``_is_pivot``: eps(v) = 1, then v^2 = a, then all three conditions.  Raises
     PivotSearchInconclusive when the search was not exhaustive and nothing
     was found -- distinct from a definitive empty answer.
@@ -363,13 +364,19 @@ def pivot_candidates(H: HopfAlgebra, data: IntegralData | None = None,
         vecs, complete = _grouplikes_on_plane(H, V.col_list(0), V.col_list(1))
         candidates.extend(vecs)
     if not complete and f.finite:
-        points = f.characteristic() ** d
-        if points <= exhaust_limit:
-            # eps(V c) = sum_k c_k eps(u_k): build only the slice eps = 1
-            eps = [H.counit_apply(V.col_list(k)) for k in range(d)]
-            candidates.extend(V.apply(list(coeffs))
-                              for coeffs in product(f.elements(), repeat=d)
-                              if pairing(f, eps, coeffs) == f.one)
+        # eps(V c) = sum_k c_k eps(u_k), so the slice eps = 1 is empty when
+        # eps vanishes on V; else it has |F|^(d-1) points, c_m fixed by the
+        # others for the last m with eps(u_m) != 0, built in lexicographic order
+        eps = [H.counit_apply(V.col_list(k)) for k in range(d)]
+        live = [k for k in range(d) if eps[k] != f.zero]
+        if not live:
+            complete = True
+        elif f.characteristic() ** (d - 1) <= exhaust_limit:
+            m = live[-1]
+            inv_m = f.inv(eps[m])
+            for rest in product(f.elements(), repeat=d - 1):
+                c_m = f.mul(inv_m, f.sub(f.one, pairing(f, eps, rest[:m])))
+                candidates.append(V.apply([*rest[:m], c_m, *rest[m:]]))
             complete = True
     # cheap deterministic candidates, useful when the search is not complete
     candidates.append(H.unit_vector())

@@ -192,6 +192,23 @@ def test_pivot_search_builds_only_the_counit_slice(monkeypatch):
     assert [S3.format_vector(p.g) for p in pivots] == [["1", "0", "0", "0", "0", "0"]]
 
 
+def test_pivot_search_is_exhaustive_when_the_counit_slice_fits(monkeypatch):
+    # dualgroup:S3 over GF(7): dim V = 6, 7^6 points but a slice of 7^5; the
+    # complete search finds the sign character beside the unit
+    DS3 = _make_builtin("dualgroup:S3", _parse_field("GF:7"))
+    pivots = pivot_candidates(DS3, normalized_pair(DS3))
+    assert [DS3.format_vector(p.g) for p in pivots] == [
+        ["1"] * 6, ["1", "6", "6", "1", "1", "6"]]
+    # uqsl2:3 over GF(13): 13^4 = 28,561 points exceed the limit of 20,000,
+    # the slice of 13^3 does not; with every candidate rejected the complete
+    # search answers [] instead of raising PivotSearchInconclusive
+    H = _make_builtin("uqsl2:3", _parse_field("GF:13"))
+    d = normalized_pair(H)
+    assert _intertwiner_space(H).ncols == 4
+    monkeypatch.setattr(integrals_module, "_is_pivot", lambda H, data, v: False)
+    assert pivot_candidates(H, d) == []
+
+
 def test_is_spherical(corpus_data):
     expected = {"group:Z2": True, "group:Z3": True, "group:S3": True,
                 "dualgroup:Z2": True, "sweedler": False, "taft:3": False}
