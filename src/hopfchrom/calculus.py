@@ -13,6 +13,10 @@ entry.  A small textual syntax for the CLI names the standard primitives
 (ev, coev, evt, coevt, id, lamL, lamR, cL, cR, cSph); ``;`` composes in the
 written operator order (the leftmost factor is applied last) and ``*``
 tensors, binding tighter than ``;``.
+
+Trees and parentheses nest at most ``MAX_EXPR_DEPTH`` levels, well inside
+Python's recursion limit, and no block or primitive built here has more than
+``MAX_WORD_DIM`` rows (the builtin grids reach 27^4 for uqsl2:3 at X = H).
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ __all__ = [
     "ExprEnv",
     "parse_expr",
 ]
+
+MAX_EXPR_DEPTH = 100
+MAX_WORD_DIM = 2 ** 20
 
 
 class MorphismExpr:
@@ -171,9 +178,29 @@ def _check_types(expr: MorphismExpr):
         )
 
 
+def _check_depth(expr: MorphismExpr):
+    """Bound the tree's depth without recursing, before the recursive passes."""
+    stack = [(expr, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_EXPR_DEPTH:
+            raise MorphismTypeError(
+                f"expression nests deeper than the bound of {MAX_EXPR_DEPTH} levels")
+        if isinstance(node, (Compose, Tensor)):
+            stack += [(node.f, depth + 1), (node.g, depth + 1)]
+
+
+def _check_word_dim(dim: int, what: str):
+    if dim > MAX_WORD_DIM:
+        raise MorphismTypeError(
+            f"{what} has dimension {dim}, above the bound of {MAX_WORD_DIM}")
+
+
 def _apply(expr: MorphismExpr, block: Matrix, outer: int, inner: int) -> Matrix:
     """``(I_outer ox matrix(expr) ox I_inner) @ block`` for a typed tree."""
     if isinstance(expr, Prim):
+        _check_word_dim(outer * expr.morphism.matrix.nrows * inner,
+                        f"the word reached by {expr!r}")
         return expr.morphism.matrix.kron_apply(block, outer, inner)
     if isinstance(expr, Ident):
         return block
@@ -189,8 +216,10 @@ def evaluate(expr: MorphismExpr) -> Morphism:
     The result is the exact matrix of the composite, decided on every column
     of its source word.
     """
+    _check_depth(expr)
     _check_types(expr)
     source = expr.source_word()
+    _check_word_dim(word_dim(source), f"source word {word_label(source)}")
     columns = Matrix.identity(_field_of(expr), word_dim(source))
     return Morphism(source, expr.target_word(), _apply(expr, columns, 1, 1))
 
@@ -292,6 +321,7 @@ class ExprEnv:
             ev, coev, evt, coevt = hm.evaluation_morphisms(mods[0])
             return Prim({"ev": ev, "coev": coev, "evt": evt, "coevt": coevt}[name])
         if name in ("lamL", "lamR"):
+            _check_word_dim(word_dim(mods), f"{name} word {word_label(tuple(mods))}")
             side = "left" if name == "lamL" else "right"
             return Prim(hm.lambda_transform(self.H, self.data, tuple(mods), side))
         if name == "cL":
@@ -362,7 +392,6 @@ class _Parser:
                     self.eat(",")
                     mods.append(self.module_expr())
             self.eat(")")
-            return self.env.primitive(name, mods)
         return self.env.primitive(name, mods)
 
     def module_expr(self, what: str = "a module name") -> HModule:
@@ -380,4 +409,10 @@ def parse_expr(text: str, env: ExprEnv) -> MorphismExpr:
     tokens = _tokenize(text)
     if not tokens:
         raise ExprSyntaxError("empty expression")
+    depth = 0
+    for tok in tokens:  # the parser recurses once per open parenthesis
+        depth += {"(": 1, ")": -1}.get(tok, 0)
+        if depth > MAX_EXPR_DEPTH:
+            raise ExprSyntaxError(
+                f"parentheses nest deeper than the bound of {MAX_EXPR_DEPTH} levels")
     return _Parser(tokens, env).parse()

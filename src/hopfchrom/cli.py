@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .algebras import (
@@ -46,7 +47,7 @@ from .hmod import (
     trivial_module,
     words_match,
 )
-from .hopf import HopfAxiomError, HopfDataError
+from .hopf import MAX_DIM, HopfAxiomError, HopfDataError
 from .integrals import (
     PivotSearchInconclusive,
     is_spherical_hmod,
@@ -78,20 +79,32 @@ def _parse_field(text: str):
     raise FieldError(f"unknown field {text!r}, use Q, GF:<p> or Cyc:<n>")
 
 
+def _bounded(n: int, dim: int, name: str) -> int:
+    """``n``, once the builtin's dimension ``dim`` is known to be within MAX_DIM."""
+    if dim > MAX_DIM:
+        raise HopfDataError(f"{name} is above the dimension bound of {MAX_DIM}")
+    return n
+
+
 def _make_builtin(name: str, field):
     if name == "sweedler":
         return sweedler_h4(field)
     if name.startswith("taft:"):
-        return taft(_int_arg(name[5:], "taft:<n>"), field)
+        n = _int_arg(name[5:], "taft:<n>")
+        return taft(_bounded(n, n * n, name), field)
     if name.startswith("uqsl2:"):
-        return small_quantum_sl2(_int_arg(name[6:], "uqsl2:<n>"), field)
+        n = _int_arg(name[6:], "uqsl2:<n>")
+        return small_quantum_sl2(_bounded(n, n ** 3, name), field)
     for prefix, maker in (("group:", group_algebra), ("dualgroup:", dual_group_algebra)):
         if name.startswith(prefix):
             spec = name[len(prefix):]
             if spec.startswith("Z"):
-                table = GroupTable.cyclic(_int_arg(spec[1:], "group order"))
+                n = _int_arg(spec[1:], "group order")
+                table = GroupTable.cyclic(_bounded(n, n, name))
             elif spec.startswith("S"):
-                table = GroupTable.symmetric(_int_arg(spec[1:], "group order"))
+                n = _int_arg(spec[1:], "group order")
+                order = math.prod(range(1, min(n, MAX_DIM) + 1))  # n!, capped
+                table = GroupTable.symmetric(_bounded(n, order, name))
             else:
                 raise HopfDataError(f"unknown group {spec!r}, use Z<n> or S<n>")
             return maker(table, field, name)

@@ -131,9 +131,6 @@ class Field:
             k >>= 1
         return acc
 
-    def is_zero(self, a) -> bool:
-        return a == self.zero
-
     # -- conversions -------------------------------------------------------
     def from_int(self, k: int):
         raise NotImplementedError

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 
 from .fields import Field, FieldError, FieldSpec, field_make
-from .hopf import HopfAlgebra, hopf_make
+from .hopf import MAX_DIM, HopfAlgebra, hopf_make
 
 __all__ = ["FileFormatError", "algebra_to_dict", "algebra_from_dict",
            "save_algebra", "load_algebra", "module_to_dict", "module_from_dict",
@@ -126,6 +126,8 @@ def algebra_from_dict(data: dict) -> HopfAlgebra:
     dim = data["dim"]
     if not isinstance(dim, int) or dim < 1:
         raise FileFormatError(f"dim: expected a positive integer, got {dim!r}")
+    if dim > MAX_DIM:
+        raise FileFormatError(f"dim: {dim} is above the bound of {MAX_DIM}")
     names = data["basis_names"]
     if not isinstance(names, list) or len(names) != dim:
         raise FileFormatError(f"basis_names: expected {dim} names")

@@ -33,6 +33,11 @@ __all__ = [
 ]
 
 
+# Largest dim H a file or builtin name may ask for, checked before the dense
+# dim^3 tensors exist; the axiom suite takes about 5 s and 100 MB at n = 64.
+MAX_DIM = 64
+
+
 class HopfDataError(ValueError):
     """Structurally inconsistent input tensors (shape or entry errors)."""
 

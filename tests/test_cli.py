@@ -1,5 +1,11 @@
 import json
+import os
+import pathlib
+import resource
+import subprocess
+import sys
 
+import pytest
 
 from hopfchrom import algebra_to_dict, save_algebra
 from hopfchrom.cli import main
@@ -203,3 +209,41 @@ def test_check_builds_one_hopf_algebra(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "--builtin", "taft:3", "--field", "GF:7")
     assert code == 0 and "all identities hold" in out
     assert calls == {"hopf_make": 1, "normalized_pair": 1}
+
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+
+
+def run_child(*argv):
+    """The CLI in a child process limited to 1 GB of address space and 20 s,
+    so an input that allocates before it is checked fails fast instead of
+    taking the host's memory; returns (exit code, stderr)."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    proc = subprocess.run([sys.executable, "-m", "hopfchrom.cli", *argv],
+                          capture_output=True, text=True, timeout=20, preexec_fn=limit,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("expr", ["(" * 400 + "id(H)" + ")" * 400,
+                                  ";".join(["id(H)"] * 1200)])
+def test_deep_or_long_expr_is_an_input_error(expr):
+    code, err = run_child("check", "--builtin", "group:Z2", "--expr", expr)
+    assert code == 2 and "bound of 100 levels" in err and "Traceback" not in err, err
+
+
+def test_oversized_inputs_exit_2_before_allocating(tmp_path):
+    n = 2000
+    path = tmp_path / "dim2000.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "rationals"}, "dim": n, "basis_names": [str(i) for i in range(n)],
+        "unit": ["0"] * n, "counit": ["0"] * n, "mult": [], "comult": [], "antipode": []}))
+    for argv in (["verify", str(path)],
+                 ["verify", "--builtin", "group:Z100000"],
+                 ["check", "--builtin", "group:Z2", "--expr", "*".join(["id(H)"] * 40)],
+                 # a source of dimension 1 whose words grow to 4^22
+                 ["check", "--builtin", "group:Z2", "--expr", "*".join(["coev(H)"] * 22)]):
+        code, err = run_child(*argv)
+        assert code == 2 and "bound of" in err and "Traceback" not in err, (argv, err)
