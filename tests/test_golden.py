@@ -20,6 +20,7 @@ import pytest
 from hopfchrom.cli import main
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
+SWEEDLER_FILE = str(pathlib.Path(__file__).parents[1] / "docs" / "sweedler_h4.json")
 
 CASES = {
     "integrals-sweedler": ["integrals", "--builtin", "sweedler"],
@@ -35,6 +36,11 @@ CASES = {
                                  "--side", "left"],
     "chromatic-right-taft3-gf7": ["chromatic", "--builtin", "taft:3", "--field", "GF:7",
                                   "--side", "right"],
+    "verify-sweedler-file": ["verify", SWEEDLER_FILE],
+    "integrals-sweedler-file": ["integrals", SWEEDLER_FILE],
+    "integrals-taft4-cyc8": ["integrals", "--builtin", "taft:4", "--field", "Cyc:8"],
+    "verify-uqsl2-3-gf7": ["verify", "--builtin", "uqsl2:3", "--field", "GF:7"],
+    "integrals-dualgroup-Z3": ["integrals", "--builtin", "dualgroup:Z3"],
 }
 
 
