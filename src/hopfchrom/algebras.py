@@ -101,14 +101,9 @@ def group_algebra(G: GroupTable, field: Field, name: str | None = None) -> HopfA
     """k[G]: Delta(g) = g ox g, eps(g) = 1, S(g) = g^{-1}."""
     n = G.order
     zero, one = field.zero, field.one
-    mult = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    comult = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    antipode = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            mult[i][j][G.cayley[i][j]] = one
-        comult[i][i][i] = one
-        antipode[G.inverse[i]][i] = one
+    mult = [(i, j, G.cayley[i][j], one) for i in range(n) for j in range(n)]
+    comult = [(i, i, i, one) for i in range(n)]
+    antipode = [(G.inverse[i], i, one) for i in range(n)]
     unit = [zero] * n
     unit[G.identity] = one
     counit = [one] * n
@@ -134,36 +129,30 @@ def sweedler_h4(field: Field, name: str = "sweedler") -> HopfAlgebra:
     m1 = field.neg(one)
     zero = field.zero
     I, Gg, X, GX = 0, 1, 2, 3
-    mult = [[[zero] * 4 for _ in range(4)] for _ in range(4)]
-
-    def setm(i, j, k, v):
-        mult[i][j][k] = v
-
-    for j in range(4):
-        setm(I, j, j, one)             # 1 * e_j
-    setm(Gg, I, Gg, one)
-    setm(Gg, Gg, I, one)               # g g = 1
-    setm(Gg, X, GX, one)               # g x = gx
-    setm(Gg, GX, X, one)               # g gx = x
-    setm(X, I, X, one)
-    setm(X, Gg, GX, m1)                # x g = -gx
-    setm(X, GX, I, zero)               # x gx = 0
-    setm(GX, I, GX, one)
-    setm(GX, Gg, X, m1)                # gx g = -x
-    comult = [[[zero] * 4 for _ in range(4)] for _ in range(4)]
-    comult[I][I][I] = one                          # Delta 1
-    comult[Gg][Gg][Gg] = one                       # Delta g
-    comult[X][X][I] = one                          # Delta x = x ox 1 + g ox x
-    comult[X][Gg][X] = one
-    comult[GX][GX][Gg] = one                       # Delta gx = gx ox g + 1 ox gx
-    comult[GX][I][GX] = one
+    mult = [(I, j, j, one) for j in range(4)] + [  # 1 * e_j
+        (Gg, I, Gg, one),
+        (Gg, Gg, I, one),                 # g g = 1
+        (Gg, X, GX, one),                 # g x = gx
+        (Gg, GX, X, one),                 # g gx = x
+        (X, I, X, one),
+        (X, Gg, GX, m1),                  # x g = -gx; x x = x gx = 0
+        (GX, I, GX, one),
+        (GX, Gg, X, m1),                  # gx g = -x
+    ]
+    comult = [
+        (I, I, I, one),                   # Delta 1
+        (Gg, Gg, Gg, one),                # Delta g
+        (X, X, I, one), (X, Gg, X, one),  # Delta x = x ox 1 + g ox x
+        (GX, GX, Gg, one), (GX, I, GX, one),  # Delta gx = gx ox g + 1 ox gx
+    ]
     unit = [one, zero, zero, zero]
     counit = [one, one, zero, zero]
-    antipode = [[zero] * 4 for _ in range(4)]
-    antipode[I][I] = one
-    antipode[Gg][Gg] = one
-    antipode[GX][X] = m1                           # S(x) = -gx
-    antipode[X][GX] = one                          # S(gx) = x
+    antipode = [
+        (I, I, one),
+        (Gg, Gg, one),
+        (GX, X, m1),                      # S(x) = -gx
+        (X, GX, one),                     # S(gx) = x
+    ]
     return hopf_make(field, ("1", "g", "x", "gx"), mult, unit, comult, counit,
                      antipode, name=name)
 
@@ -201,26 +190,18 @@ def taft(n: int, field: Field, name: str | None = None) -> HopfAlgebra:
 
     qpow = [field.pow(q, k) for k in range(n * n + 1)]
     binom = _gauss_binomials(field, n, q)
-    mult = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if j + l < n:
-                        # (g^i x^j)(g^k x^l) = q^{jk} g^{i+k} x^{j+l}
-                        mult[idx(i, j)][idx(k, l)][idx((i + k) % n, j + l)] = qpow[j * k]
-    comult = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for t in range(j + 1):
-                # Delta(g^i x^j) = sum_t [j,t]_q g^{i+t} x^{j-t} ox g^i x^t
-                comult[idx(i, j)][idx((i + t) % n, j - t)][idx(i, t)] = binom[j][t]
+    # (g^i x^j)(g^k x^l) = q^{jk} g^{i+k} x^{j+l}
+    mult = [(idx(i, j), idx(k, l), idx((i + k) % n, j + l), qpow[j * k])
+            for i in range(n) for j in range(n) for k in range(n) for l in range(n - j)]
+    # Delta(g^i x^j) = sum_t [j,t]_q g^{i+t} x^{j-t} ox g^i x^t
+    comult = [(idx(i, j), idx((i + t) % n, j - t), idx(i, t), binom[j][t])
+              for i in range(n) for j in range(n) for t in range(j + 1)]
     unit = [zero] * dim
     unit[idx(0, 0)] = one
     counit = [zero] * dim
     for i in range(n):
         counit[idx(i, 0)] = one
-    antipode = [[zero] * dim for _ in range(dim)]
+    antipode = []
     for i in range(n):
         for j in range(n):
             # S(g^i x^j) = (-1)^j q^{-j(j-1)/2 - ij} g^{-i-j} x^j
@@ -228,7 +209,7 @@ def taft(n: int, field: Field, name: str | None = None) -> HopfAlgebra:
             c = qpow[e]
             if j % 2:
                 c = field.neg(c)
-            antipode[idx((-i - j) % n, j)][idx(i, j)] = c
+            antipode.append((idx((-i - j) % n, j), idx(i, j), c))
     names = []
     for i in range(n):
         for j in range(n):
@@ -323,13 +304,9 @@ def small_quantum_sl2(n: int, field: Field, name: str | None = None) -> HopfAlge
         return out
 
     monomials = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
-    mult = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for m1 in monomials:
-        row = mult[idx(*m1)]
-        for m2 in monomials:
-            col = row[idx(*m2)]
-            for (a, b, c), v in mul_monomial(m1, {m2: one}).items():
-                col[idx(a, b, c)] = v
+    mult = [(idx(*m1), idx(*m2), idx(*key), v)
+            for m1 in monomials for m2 in monomials
+            for key, v in mul_monomial(m1, {m2: one}).items()]
 
     # coproduct: powers of Delta(F), Delta(K), Delta(E) in H ox H
     def prod_tensor(x: dict, y: dict) -> dict:
@@ -352,11 +329,9 @@ def small_quantum_sl2(n: int, field: Field, name: str | None = None) -> HopfAlge
         powF.append(prod_tensor(powF[-1], dF))
         powK.append(prod_tensor(powK[-1], dK))
         powE.append(prod_tensor(powE[-1], dE))
-    comult = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for (a, b, c) in monomials:
-        plane = comult[idx(a, b, c)]
-        for (l, r), v in prod_tensor(powF[a], prod_tensor(powK[b], powE[c])).items():
-            plane[idx(*l)][idx(*r)] = v
+    comult = [(idx(a, b, c), idx(*l), idx(*r), v)
+              for (a, b, c) in monomials
+              for (l, r), v in prod_tensor(powF[a], prod_tensor(powK[b], powE[c])).items()]
 
     unit = [zero] * dim
     unit[idx(0, 0, 0)] = one
@@ -373,10 +348,9 @@ def small_quantum_sl2(n: int, field: Field, name: str | None = None) -> HopfAlge
         spF.append(prod(spF[-1], sF))
         spK.append(prod(spK[-1], sK))
         spE.append(prod(spE[-1], sE))
-    antipode = [[zero] * dim for _ in range(dim)]
-    for (a, b, c) in monomials:
-        for key, v in prod(spE[c], prod(spK[b], spF[a])).items():
-            antipode[idx(*key)][idx(a, b, c)] = v
+    antipode = [(idx(*key), idx(a, b, c), v)
+                for (a, b, c) in monomials
+                for key, v in prod(spE[c], prod(spK[b], spF[a])).items()]
 
     names = []
     for (a, b, c) in monomials:

@@ -15,9 +15,9 @@ Schema (see docs/file-format.md for the full description and an example):
       "antipode": [[i, j, "scalar"], ...]      # S(e_j) += scalar e_i
     }
 
-Sparse triplet lists expand to dense tensors at load; scalars use the field's
-literal grammar ("a/b", decimal residue, or "[c0,c1,...]").  Loading always
-runs the full axiom suite.
+The sparse entry lists are the terms ``hopf_make`` takes; scalars use the
+field's literal grammar ("a/b", decimal residue, or "[c0,c1,...]").  Loading
+always runs the full axiom suite.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 
 from .fields import Field, FieldError, FieldSpec, field_make
-from .hopf import MAX_DIM, HopfAlgebra, hopf_make
+from .hopf import MAX_DIM, HopfAlgebra, _comult_terms, _mult_terms, hopf_make
 
 __all__ = ["FileFormatError", "algebra_to_dict", "algebra_from_dict",
            "save_algebra", "load_algebra", "module_to_dict", "module_from_dict",
@@ -57,15 +57,8 @@ def _field_from_dict(d: dict) -> Field:
 def algebra_to_dict(H: HopfAlgebra) -> dict:
     """Exact, human-auditable export; round-trips through algebra_from_dict."""
     f = H.field
-    mult = []
-    for i in range(H.dim):
-        for j in range(H.dim):
-            for k in sorted(H.mult[i][j]):
-                mult.append([i, j, k, f.format(H.mult[i][j][k])])
-    comult = []
-    for k in range(H.dim):
-        for (i, j) in sorted(H.comult[k]):
-            comult.append([k, i, j, f.format(H.comult[k][(i, j)])])
+    mult = [[i, j, k, f.format(c)] for i, j, k, c in sorted(_mult_terms(H.mult))]
+    comult = [[k, i, j, f.format(c)] for k, i, j, c in sorted(_comult_terms(H.comult))]
     antipode = [
         [i, j, f.format(v)] for i, j, v in sorted(H.antipode.nonzero_items())
     ]
@@ -111,7 +104,7 @@ def _parse_triplets(field: Field, data, dim: int, arity: int, where: str):
         for v in idx:
             if not isinstance(v, int) or not (0 <= v < dim):
                 raise FileFormatError(f"{label}: index {v!r} out of range 0..{dim - 1}")
-        out.append((tuple(idx), _parse_scalar(field, item[arity], label)))
+        out.append((*idx, _parse_scalar(field, item[arity], label)))
     return out
 
 
@@ -133,16 +126,9 @@ def algebra_from_dict(data: dict) -> HopfAlgebra:
         raise FileFormatError(f"basis_names: expected {dim} names")
     unit = _parse_vector(field, data["unit"], dim, "unit")
     counit = _parse_vector(field, data["counit"], dim, "counit")
-    zero = field.zero
-    mult = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for (i, j, k), v in _parse_triplets(field, data["mult"], dim, 3, "mult"):
-        mult[i][j][k] = field.add(mult[i][j][k], v)
-    comult = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for (k, i, j), v in _parse_triplets(field, data["comult"], dim, 3, "comult"):
-        comult[k][i][j] = field.add(comult[k][i][j], v)
-    antipode = [[zero] * dim for _ in range(dim)]
-    for (i, j), v in _parse_triplets(field, data["antipode"], dim, 2, "antipode"):
-        antipode[i][j] = field.add(antipode[i][j], v)
+    mult = _parse_triplets(field, data["mult"], dim, 3, "mult")
+    comult = _parse_triplets(field, data["comult"], dim, 3, "comult")
+    antipode = _parse_triplets(field, data["antipode"], dim, 2, "antipode")
     name = data.get("name", "file-algebra")
     return hopf_make(field, names, mult, unit, comult, counit, antipode, name=name)
 

@@ -8,11 +8,14 @@ no side above ``n^3``: ``Delta(xy) = Delta(x) Delta(y)`` is contracted directly
 over the sparse tensors (``_delta_products``) instead of going through the
 ``n^4``-sided ``(m ox m)(id ox tau ox id)(Delta ox Delta)``.
 
-Conventions (basis ``e_0 .. e_{n-1}``):
+``hopf_make`` takes the sparse terms of the algebra file format
+(docs/file-format.md), summed over repeated indices, and stores them sparsely
+(basis ``e_0 .. e_{n-1}``):
 
-  * ``mult[i][j]``  is the sparse row ``{k: m_ijk}`` of ``e_i e_j``,
-  * ``comult[k]``   is ``{(i, j): c_kij}`` with ``Delta(e_k) = sum c e_i ox e_j``,
-  * ``antipode``    is the matrix with ``S(e_j) = sum_i S[i][j] e_i``,
+  * ``mult`` terms ``(i, j, k, c)``, ``e_i e_j += c e_k``: ``mult[i][j]`` is ``{k: m_ijk}``,
+  * ``comult`` terms ``(k, i, j, c)``, ``Delta(e_k) += c e_i ox e_j``:
+    ``comult[k]`` is ``{(i, j): c_kij}``,
+  * ``antipode`` terms ``(i, j, c)``, ``S(e_j) += c e_i``: the matrix ``S[i][j]``,
   * elements of H (and of H*, in the dual basis) are dense payload lists.
 
 Tensor legs are flattened row-major and left-nested: ``(i, j) -> i*n + j``.
@@ -33,8 +36,8 @@ __all__ = [
 ]
 
 
-# Largest dim H a file or builtin name may ask for, checked before the dense
-# dim^3 tensors exist (verifying group:Z64 took 5 s and 100 MB on a 2-core Xeon).
+# Largest dim H a file or builtin name may ask for, checked before any table or
+# term list exists (verifying group:Z64 took 5 s and 100 MB on a 2-core Xeon).
 MAX_DIM = 64
 
 
@@ -138,20 +141,14 @@ class HopfAlgebra:
     def left_mult_matrix(self, i: int) -> Matrix:
         """Matrix of ``v -> e_i v``."""
         if self._left_mult[i] is None:
-            entries = {}
-            for j in range(self.dim):
-                for k, c in self.mult[i][j].items():
-                    entries[(k, j)] = c
+            entries = {(k, j): c for j, col in enumerate(self.mult[i]) for k, c in col.items()}
             self._left_mult[i] = Matrix.from_entries(self.field, self.dim, self.dim, entries)
         return self._left_mult[i]
 
     def right_mult_matrix(self, j: int) -> Matrix:
         """Matrix of ``v -> v e_j``."""
         if self._right_mult[j] is None:
-            entries = {}
-            for i in range(self.dim):
-                for k, c in self.mult[i][j].items():
-                    entries[(k, i)] = c
+            entries = {(k, i): c for i, row in enumerate(self.mult) for k, c in row[j].items()}
             self._right_mult[j] = Matrix.from_entries(self.field, self.dim, self.dim, entries)
         return self._right_mult[j]
 
@@ -217,50 +214,33 @@ class HopfAlgebra:
     def antipode_vector(self, i: int) -> list:
         return self.antipode.col_list(i)
 
-    # -- derived Hopf algebras -------------------------------------------------
+    # -- derived Hopf algebras (each verified afresh by hopf_make) ---------------
     def dual_hopf(self, name: str | None = None) -> "HopfAlgebra":
-        """H* with convolution product; re-verified by the axiom suite."""
-        return self._derived(
-            tuple(nm + "^*" for nm in self.basis_names),
-            [(i, j, k, c) for k, i, j, c in _comult_terms(self.comult)],
-            [(k, i, j, c) for i, j, k, c in _mult_terms(self.mult)],
-            self.counit, self.unit, self.antipode.transpose(),
-            name or f"dual({self.name})",
+        """H* with convolution product."""
+        return hopf_make(
+            self.field, tuple(nm + "^*" for nm in self.basis_names),
+            [(i, j, k, c) for k, i, j, c in _comult_terms(self.comult)], self.counit,
+            [(k, i, j, c) for i, j, k, c in _mult_terms(self.mult)], self.unit,
+            [(j, i, c) for i, j, c in self.antipode.nonzero_items()],
+            name=name or f"dual({self.name})",
         )
 
     def cop(self, name: str | None = None) -> "HopfAlgebra":
         """H with opposite coproduct and antipode ``S^{-1}``."""
-        return self._derived(
-            self.basis_names,
-            _mult_terms(self.mult),
-            [(k, j, i, c) for k, i, j, c in _comult_terms(self.comult)],
-            self.unit, self.counit, self.antipode_inverse(),
-            name or f"cop({self.name})",
+        return hopf_make(
+            self.field, self.basis_names, _mult_terms(self.mult), self.unit,
+            [(k, j, i, c) for k, i, j, c in _comult_terms(self.comult)], self.counit,
+            self.antipode_inverse().nonzero_items(), name=name or f"cop({self.name})",
         )
 
     def op(self, name: str | None = None) -> "HopfAlgebra":
         """H with opposite product and antipode ``S^{-1}``."""
-        return self._derived(
-            self.basis_names,
-            [(j, i, k, c) for i, j, k, c in _mult_terms(self.mult)],
-            _comult_terms(self.comult),
-            self.unit, self.counit, self.antipode_inverse(),
-            name or f"op({self.name})",
+        return hopf_make(
+            self.field, self.basis_names,
+            [(j, i, k, c) for i, j, k, c in _mult_terms(self.mult)], self.unit,
+            _comult_terms(self.comult), self.counit,
+            self.antipode_inverse().nonzero_items(), name=name or f"op({self.name})",
         )
-
-    def _derived(self, names, mult_terms, comult_terms, unit, counit,
-                 antipode: Matrix, name: str) -> "HopfAlgebra":
-        """``hopf_make`` on sparse terms ``(i, j, k, c)`` of ``mult[i][j][k]``
-        and ``comult[i][j][k]``; the derived algebra is verified afresh."""
-        n = self.dim
-        zero = self.field.zero
-        mult = [[[zero] * n for _ in range(n)] for _ in range(n)]
-        comult = [[[zero] * n for _ in range(n)] for _ in range(n)]
-        for dense, terms in ((mult, mult_terms), (comult, comult_terms)):
-            for i, j, k, c in terms:
-                dense[i][j][k] = c
-        return hopf_make(self.field, names, mult, list(unit), comult, list(counit),
-                         antipode.dense(), name=name)
 
     # -- predicates ------------------------------------------------------------
     def is_grouplike(self, a: list) -> bool:
@@ -281,42 +261,28 @@ class HopfAlgebra:
         return f"HopfAlgebra({self.name!r}, dim={self.dim}, field={self.field.spec})"
 
 
-def _normalize_tensors(field, dim, mult, unit, comult, counit, antipode):
-    zero = field.zero
-    if len(mult) != dim or any(len(r) != dim for r in mult):
-        raise HopfDataError("mult tensor must be dim x dim x dim")
-    if len(comult) != dim:
-        raise HopfDataError("comult tensor must be dim x dim x dim")
-    if len(unit) != dim or len(counit) != dim:
-        raise HopfDataError("unit/counit must have length dim")
-    sm = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            col = mult[i][j]
-            if len(col) != dim:
-                raise HopfDataError(f"mult[{i}][{j}] has length {len(col)}")
-            vals = {k: field.coerce(v) for k, v in enumerate(col)}
-            row.append({k: v for k, v in vals.items() if v != zero})
-        sm.append(tuple(row))
-    sc = []
-    for k in range(dim):
-        plane = comult[k]
-        if len(plane) != dim or any(len(r) != dim for r in plane):
-            raise HopfDataError(f"comult[{k}] must be dim x dim")
-        d = {}
-        for i in range(dim):
-            for j in range(dim):
-                v = field.coerce(plane[i][j])
-                if v != zero:
-                    d[(i, j)] = v
-        sc.append(d)
-    u = [field.coerce(v) for v in unit]
-    eps = [field.coerce(v) for v in counit]
-    S = Matrix.from_rows(field, antipode)
-    if S.shape != (dim, dim):
-        raise HopfDataError(f"antipode must be {dim}x{dim}, got {S.shape}")
-    return tuple(sm), u, tuple(sc), eps, S
+def _sparse_structure(field, dim: int, mult, comult, antipode):
+    """The stored ``mult``, ``comult`` and antipode matrix, summed from term
+    lists; every index must lie in ``0..dim-1``, and zero sums are dropped."""
+
+    def summed(terms, arity: int, what: str) -> dict:
+        acc: dict = {}
+        for *key, c in terms:
+            key = tuple(key)
+            if len(key) != arity or not all(isinstance(i, int) and 0 <= i < dim for i in key):
+                raise HopfDataError(f"{what} term {key + (c,)!r} needs {arity} "
+                                    f"indices in 0..{dim - 1} and a value")
+            c = field.coerce(c)
+            acc[key] = field.add(acc[key], c) if key in acc else c
+        return {key: acc[key] for key in sorted(acc) if acc[key] != field.zero}
+
+    sm = tuple(tuple({} for _ in range(dim)) for _ in range(dim))
+    for (i, j, k), c in summed(mult, 3, "mult").items():
+        sm[i][j][k] = c
+    sc = tuple({} for _ in range(dim))
+    for (k, i, j), c in summed(comult, 3, "comult").items():
+        sc[k][(i, j)] = c
+    return sm, sc, Matrix.from_entries(field, dim, dim, summed(antipode, 2, "antipode"))
 
 
 def _mult_terms(mult):
@@ -457,17 +423,18 @@ def _verify_axioms(field, dim, mult, unit, comult, counit, S):
 
 def hopf_make(field: Field, basis_names, mult, unit, comult, counit, antipode,
               name: str = "H") -> HopfAlgebra:
-    """Build and fully verify a Hopf algebra from dense structure constants.
-
-    ``mult[i][j][k]``, ``comult[k][i][j]``, ``antipode[i][j]`` with
-    ``S(e_j) = sum_i antipode[i][j] e_i``.  Construction fails atomically on
-    the first violated axiom.
+    """Build and fully verify a Hopf algebra from the term lists of the module
+    docstring and dense ``unit`` and ``counit`` vectors.  Construction fails
+    atomically on the first violated axiom.
     """
     basis_names = tuple(str(b) for b in basis_names)
     dim = len(basis_names)
     if dim == 0:
         raise HopfDataError("dimension must be positive")
-    sm, u, sc, eps, S = _normalize_tensors(field, dim, mult, unit, comult,
-                                           counit, antipode)
+    if len(unit) != dim or len(counit) != dim:
+        raise HopfDataError("unit/counit must have length dim")
+    u = [field.coerce(v) for v in unit]
+    eps = [field.coerce(v) for v in counit]
+    sm, sc, S = _sparse_structure(field, dim, mult, comult, antipode)
     _verify_axioms(field, dim, sm, u, sc, eps, S)
     return HopfAlgebra(field, dim, basis_names, sm, u, sc, eps, S, name, True)

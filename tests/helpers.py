@@ -155,6 +155,20 @@ def dense_tensors(H: HopfAlgebra):
     }
 
 
+def terms(tensors: dict) -> dict:
+    """``hopf_make`` keyword arguments from dense tensors: every entry as one
+    term, zeros included (``hopf_make`` drops zero sums)."""
+    r = range(len(tensors["unit"]))
+    mult, comult, antipode = tensors["mult"], tensors["comult"], tensors["antipode"]
+    return {
+        "mult": [(i, j, k, mult[i][j][k]) for i in r for j in r for k in r],
+        "unit": tensors["unit"],
+        "comult": [(k, i, j, comult[k][i][j]) for k in r for i in r for j in r],
+        "counit": tensors["counit"],
+        "antipode": [(i, j, antipode[i][j]) for i in r for j in r],
+    }
+
+
 def mutate(tensors: dict, kind: str, index: tuple, field) -> dict:
     """Copy of the tensors with one entry bumped by +1."""
     out = {

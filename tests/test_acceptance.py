@@ -8,7 +8,7 @@ asserts its wall-clock budget and prints one PASS/FAIL line (run with
 import time
 from contextlib import contextmanager
 
-from helpers import axiom_violated, dense_tensors, mutate
+from helpers import axiom_violated, dense_tensors, mutate, terms
 
 from hopfchrom import (
     FieldSpec,
@@ -103,8 +103,7 @@ def test_criterion_1_axiom_suite_and_mutations():
             for kind, idx in _mutation_stream(H):
                 t = mutate(base, kind, idx, H.field)
                 try:
-                    hopf_make(H.field, H.basis_names, t["mult"], t["unit"],
-                              t["comult"], t["counit"], t["antipode"])
+                    hopf_make(H.field, H.basis_names, **terms(t))
                 except HopfAxiomError as err:
                     assert axiom_violated(H.field, t, err.axiom), \
                         f"{H.name}: {kind}{idx} misnamed {err.axiom}"

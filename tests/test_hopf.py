@@ -1,4 +1,6 @@
 
+from fractions import Fraction
+
 import pytest
 from helpers import (
     axiom_violated,
@@ -6,12 +8,14 @@ from helpers import (
     dense_tensors,
     kron_comult_algebra_map_sides,
     mutate,
+    terms,
 )
 
 from hopfchrom import (
     FieldSpec,
     GroupTable,
     HopfAxiomError,
+    HopfDataError,
     Matrix,
     field_make,
     group_algebra,
@@ -20,7 +24,7 @@ from hopfchrom import (
 )
 from hopfchrom import hopf as hopf_module
 from hopfchrom import linalg as linalg_module
-from hopfchrom.hopf import _delta_products, _normalize_tensors, _structure_matrices
+from hopfchrom.hopf import _delta_products, _sparse_structure, _structure_matrices
 
 
 def test_builtins_pass_axiom_suite(corpus):
@@ -32,8 +36,7 @@ def test_sweedler_antipode_sign_flip_names_antipode_axiom(Q, h4):
     t = dense_tensors(h4)
     t["antipode"][3][2] = Q.neg(t["antipode"][3][2])  # S(x) = -gx -> +gx
     with pytest.raises(HopfAxiomError) as err:
-        hopf_make(Q, h4.basis_names, t["mult"], t["unit"], t["comult"],
-                  t["counit"], t["antipode"])
+        hopf_make(Q, h4.basis_names, **terms(t))
     assert err.value.axiom == "antipode-axiom"
     assert axiom_violated(Q, t, "antipode-axiom")
 
@@ -43,6 +46,23 @@ def test_group_algebra_z2_valid(Q):
     g = H.basis_vector(1)
     assert H.coproduct(g) == {(1, 1): Q.one}
     assert H.antipode_apply(g) == g
+
+
+def test_hopf_make_sums_repeated_terms_and_checks_indices(Q, z2):
+    half = Fraction(1, 2)
+    # g g = 1 given as two halves, plus a zero term; Delta(g) and S(g) likewise
+    mult = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1),
+            (1, 1, 0, half), (1, 1, 0, half), (1, 1, 1, 0)]
+    comult = [(0, 0, 0, 1), (1, 1, 1, half), (1, 1, 1, half)]
+    antipode = [(0, 0, 1), (1, 1, 2), (1, 1, -1)]
+    H = hopf_make(Q, z2.basis_names, mult, [1, 0], comult, [1, 1], antipode)
+    assert H.mult == z2.mult and H.mult[1][1] == {0: Q.one}
+    assert H.comult == z2.comult and H.antipode == z2.antipode
+    for bad in (mult + [(0, 0, 2, 1)], mult + [(-1, 0, 0, 1)], mult + [(0, 0, 1)]):
+        with pytest.raises(HopfDataError):
+            hopf_make(Q, z2.basis_names, bad, [1, 0], comult, [1, 1], antipode)
+    with pytest.raises(HopfDataError):
+        hopf_make(Q, z2.basis_names, mult, [1, 0], comult, [1, 1], [(0, 2, 1)])
 
 
 def test_multiply_examples(Q, F7, h4, t3):
@@ -160,8 +180,7 @@ def test_ten_mutations_per_builtin_fail_with_correct_axiom(corpus):
         for kind, idx in _mutation_stream(H):
             t = mutate(base, kind, idx, H.field)
             try:
-                hopf_make(H.field, H.basis_names, t["mult"], t["unit"],
-                          t["comult"], t["counit"], t["antipode"])
+                hopf_make(H.field, H.basis_names, **terms(t))
             except HopfAxiomError as err:
                 # independent loop-based oracle confirms the named axiom
                 assert axiom_violated(H.field, t, err.axiom), \
@@ -175,8 +194,8 @@ def test_ten_mutations_per_builtin_fail_with_correct_axiom(corpus):
 
 
 def _contracted_sides(H, t):
-    sm, _, sc, _, _ = _normalize_tensors(H.field, H.dim, t["mult"], t["unit"],
-                                         t["comult"], t["counit"], t["antipode"])
+    a = terms(t)
+    sm, sc, _ = _sparse_structure(H.field, H.dim, a["mult"], a["comult"], a["antipode"])
     M, D = _structure_matrices(H.field, sm, sc)
     return D @ M, _delta_products(H.field, sm, sc)
 
@@ -202,8 +221,7 @@ def test_comult_algebra_map_violation_matches_reference(corpus, name, kind, idx)
     H = next(A for A in corpus if A.name == name)
     t = mutate(dense_tensors(H), kind, idx, H.field)
     with pytest.raises(HopfAxiomError) as err:
-        hopf_make(H.field, H.basis_names, t["mult"], t["unit"], t["comult"],
-                  t["counit"], t["antipode"])
+        hopf_make(H.field, H.basis_names, **terms(t))
     assert err.value.axiom == "comultiplication-algebra-map"
     assert axiom_violated(H.field, t, err.value.axiom)
     ref_lhs, ref_rhs = kron_comult_algebra_map_sides(H.field, t)
@@ -228,6 +246,5 @@ def test_axiom_suite_builds_nothing_above_n_cubed(monkeypatch):
 
     monkeypatch.setattr(Matrix, "__init__", recording_init)
     monkeypatch.setattr(linalg_module, "permutation_matrix", forbidden)
-    hopf_make(H.field, H.basis_names, t["mult"], t["unit"], t["comult"],
-              t["counit"], t["antipode"])
+    hopf_make(H.field, H.basis_names, **terms(t))
     assert sides and max(sides) == H.dim ** 3
