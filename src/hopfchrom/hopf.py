@@ -76,7 +76,7 @@ class HopfAlgebra:
     """Verified structure-constant Hopf algebra.  Build via :func:`hopf_make`."""
 
     def __init__(self, field, dim, basis_names, mult, unit, comult, counit,
-                 antipode, name, _verified):
+                 antipode, antipode_inv, name, _verified):
         if not _verified:
             raise HopfDataError("use hopf_make()")
         self.field = field
@@ -87,8 +87,8 @@ class HopfAlgebra:
         self.comult = comult      # tuple[dict[(int, int), payload]]
         self.counit = tuple(counit)
         self.antipode = antipode  # Matrix
+        self._antipode_inv = antipode_inv  # Matrix, from the axiom suite
         self.name = name
-        self._antipode_inv = None
         self._antipode_sq = None
         self._left_mult = [None] * dim
         self._right_mult = [None] * dim
@@ -197,9 +197,7 @@ class HopfAlgebra:
         return self.antipode.apply(a)
 
     def antipode_inverse(self) -> Matrix:
-        """``S^{-1}`` as a matrix; exact, cached."""
-        if self._antipode_inv is None:
-            self._antipode_inv = self.antipode.inverse()
+        """``S^{-1}`` as a matrix, computed once by the axiom suite."""
         return self._antipode_inv
 
     def antipode_squared(self) -> Matrix:
@@ -352,8 +350,9 @@ def _expect_equal(lhs: Matrix, rhs: Matrix, axiom: str, decoder):
                              f"{lhs.field.format(a)} != {lhs.field.format(b)}")
 
 
-def _verify_axioms(field, dim, mult, unit, comult, counit, S):
-    """Raise HopfAxiomError at the first violated axiom, in a fixed order.
+def _verify_axioms(field, dim, mult, unit, comult, counit, S) -> Matrix:
+    """Raise HopfAxiomError at the first violated axiom, in a fixed order;
+    return ``S^{-1}``, which the bijectivity check computes.
 
     Every side is a product of structure matrices with no side above
     ``n^3``, except ``Delta(xy) = Delta(x) Delta(y)``, whose right-hand side
@@ -416,7 +415,7 @@ def _verify_axioms(field, dim, mult, unit, comult, counit, S):
                   lambda r, c: (c, r))
     # bijectivity of S (automatic for genuine finite-dimensional Hopf data)
     try:
-        S.inverse()
+        return S.inverse()
     except SingularMatrixError:
         raise HopfAxiomError("antipode-invertibility", (), "S is singular")
 
@@ -436,5 +435,5 @@ def hopf_make(field: Field, basis_names, mult, unit, comult, counit, antipode,
     u = [field.coerce(v) for v in unit]
     eps = [field.coerce(v) for v in counit]
     sm, sc, S = _sparse_structure(field, dim, mult, comult, antipode)
-    _verify_axioms(field, dim, sm, u, sc, eps, S)
-    return HopfAlgebra(field, dim, basis_names, sm, u, sc, eps, S, name, True)
+    S_inv = _verify_axioms(field, dim, sm, u, sc, eps, S)
+    return HopfAlgebra(field, dim, basis_names, sm, u, sc, eps, S, S_inv, name, True)

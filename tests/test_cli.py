@@ -211,6 +211,24 @@ def test_check_builds_one_hopf_algebra(capsys, monkeypatch):
     assert calls == {"hopf_make": 1, "normalized_pair": 1}
 
 
+
+def test_check_inverts_the_antipode_once(capsys, monkeypatch):
+    # the axiom suite's bijectivity check hands S^-1 to the HopfAlgebra
+    from hopfchrom.linalg import Matrix
+
+    shapes = []
+    inverse = Matrix.inverse
+
+    def counted(self):
+        shapes.append(self.shape)
+        return inverse(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counted)
+    code, out, _ = run(capsys, "check", "--builtin", "taft:5", "--field", "GF:11")
+    assert code == 0 and "all identities hold" in out
+    assert shapes == [(25, 25)]
+
+
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
