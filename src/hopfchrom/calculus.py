@@ -258,7 +258,8 @@ def _tokenize(text: str) -> list[str]:
 
 
 class ExprEnv:
-    """Resolves module names and named primitives for one algebra.
+    """Resolves module names, chromatic maps and named primitives for one
+    algebra; the CLI resolves ``--modules`` and ``--side`` here too.
 
     Chromatic primitives (cL, cR, cSph) and lamL/lamR/alpha need integral
     data; cSph additionally needs a pivot.
@@ -279,15 +280,26 @@ class ExprEnv:
 
     @property
     def pivot(self):
+        """The chosen pivot, or None when H is not spherical; the search's
+        PivotSearchInconclusive propagates when it cannot decide."""
         if not self._pivot_searched:
-            from .integrals import PivotSearchInconclusive, is_spherical_hmod
+            from .integrals import is_spherical_hmod
 
+            _, self._pivot = is_spherical_hmod(self.H, self.data)
             self._pivot_searched = True
-            try:
-                _, self._pivot = is_spherical_hmod(self.H, self.data)
-            except PivotSearchInconclusive:
-                self._pivot = None
         return self._pivot
+
+    def chromatic(self, side: str) -> Morphism:
+        """The ``left``, ``right`` or ``spherical`` chromatic map based at H;
+        NotSphericalError when a spherical one is asked of a non-spherical H."""
+        ch = self._chromatic
+        if side == "left":
+            return ch.chromatic_left_hopf(self.H, self.data)
+        if side == "right":
+            return ch.chromatic_right_hopf(self.H, self.data)
+        if self.pivot is None:
+            raise ch.NotSphericalError(f"{self.H.name} is not spherical")
+        return ch.chromatic_spherical(self.H, self.data, self.pivot)
 
     def module(self, name: str) -> HModule:
         key = name
@@ -312,7 +324,7 @@ class ExprEnv:
         return self._modules[key]
 
     def primitive(self, name: str, mods: list[HModule]) -> MorphismExpr:
-        hm, ch = self._hmod, self._chromatic
+        hm = self._hmod
         if name == "id":
             return Ident(tuple(mods))
         if name in ("ev", "coev", "evt", "coevt"):
@@ -324,14 +336,9 @@ class ExprEnv:
             _check_word_dim(word_dim(mods), f"{name} word {word_label(tuple(mods))}")
             side = "left" if name == "lamL" else "right"
             return Prim(hm.lambda_transform(self.H, self.data, tuple(mods), side))
-        if name == "cL":
-            return Prim(ch.chromatic_left_hopf(self.H, self.data))
-        if name == "cR":
-            return Prim(ch.chromatic_right_hopf(self.H, self.data))
-        if name == "cSph":
-            if self.pivot is None:
-                raise ExprSyntaxError("cSph needs a spherical algebra (no pivot)")
-            return Prim(ch.chromatic_spherical(self.H, self.data, self.pivot))
+        sides = {"cL": "left", "cR": "right", "cSph": "spherical"}
+        if name in sides:
+            return Prim(self.chromatic(sides[name]))
         raise ExprSyntaxError(f"unknown primitive {name!r}")
 
 

@@ -29,10 +29,7 @@ from .algebras import (
 from .calculus import ExprEnv, ExprSyntaxError, evaluate, morphisms_equal, parse_expr
 from .chromatic import (
     NotSphericalError,
-    chromatic_left_hopf,
-    chromatic_right_hopf,
     chromatic_retract,
-    chromatic_spherical,
     split_idempotent,
     verify_chromatic_identity,
 )
@@ -41,16 +38,12 @@ from .fileformat import FileFormatError, load_algebra
 from .hmod import (
     Morphism,
     MorphismTypeError,
-    alpha_module,
     is_h_linear,
-    regular_module,
-    trivial_module,
     words_match,
 )
 from .hopf import MAX_DIM, HopfAxiomError, HopfDataError
 from .integrals import (
     PivotSearchInconclusive,
-    is_spherical_hmod,
     is_unimodular,
     normalized_pair,
     pivot_candidates,
@@ -202,23 +195,9 @@ def cmd_integrals(args) -> int:
     return EXIT_OK
 
 
-def _build_chromatic(H, data, side: str, pivot=None):
-    if side == "left":
-        return chromatic_left_hopf(H, data)
-    if side == "right":
-        return chromatic_right_hopf(H, data)
-    return chromatic_spherical(H, data, pivot)
-
-
 def cmd_chromatic(args) -> int:
     H = _load(args)
-    data = normalized_pair(H)
-    pivot = None
-    if args.side == "spherical":
-        spherical, pivot = is_spherical_hmod(H, data)
-        if not spherical:
-            raise NotSphericalError(f"{H.name} is not spherical")
-    mor = _build_chromatic(H, data, args.side, pivot)
+    mor = ExprEnv(H).chromatic(args.side)
     payload = {"algebra": H.name, "side": args.side, **_morphism_payload(H, mor)}
     lines = [
         f"{args.side} chromatic map of {H.name}: "
@@ -235,8 +214,8 @@ def cmd_chromatic(args) -> int:
     return EXIT_OK
 
 
-def _check_expr(args, H, data) -> int:
-    env = ExprEnv(H, data)  # pivot discovered lazily if cSph is used
+def _check_expr(args, env: ExprEnv) -> int:
+    H = env.H
     lhs = evaluate(parse_expr(args.expr, env))
     if args.equals:
         rhs = evaluate(parse_expr(args.equals, env))
@@ -260,38 +239,28 @@ def _check_expr(args, H, data) -> int:
 
 def cmd_check(args) -> int:
     H = _load(args)
-    data = normalized_pair(H)
+    env = ExprEnv(H)
     if args.expr:
-        return _check_expr(args, H, data)
+        return _check_expr(args, env)
 
-    sides = [args.side] if args.side != "all" else ["left", "right"]
-    pivot = None
-    if args.side in ("spherical", "all"):
+    data = env.data
+    skipped = []
+    if args.side != "all":
+        sides = [args.side]
+    else:
+        # the spherical row joins when the pivot search decides H is spherical
+        sides = ["left", "right"]
         try:
-            spherical, pivot = is_spherical_hmod(H, data)
-        except PivotSearchInconclusive:
-            spherical = False
-        if args.side == "spherical" and not spherical:
-            raise NotSphericalError(f"{H.name} is not spherical")
-        if args.side == "all" and spherical:
-            sides.append("spherical")
-        elif args.side == "spherical":
-            sides = ["spherical"]
+            if env.pivot is not None:
+                sides.append("spherical")
+        except PivotSearchInconclusive as exc:
+            skipped.append(f"spherical row skipped: {exc}")
+    bases = {side: env.chromatic(side) for side in sides}
 
-    G = regular_module(H)
-    xmods = []
+    G = env.module("H")
     wanted = args.modules.split(",") if args.modules != "all" else [
         "trivial", "regular", "alpha"]
-    for w in wanted:
-        w = w.strip()
-        if w == "trivial":
-            xmods.append(trivial_module(H))
-        elif w == "regular":
-            xmods.append(regular_module(H))
-        elif w == "alpha":
-            xmods.append(alpha_module(H, data))
-        else:
-            raise HopfDataError(f"unknown X module {w!r}")
+    xmods = [env.module(w.strip()) for w in wanted]
 
     fams = [None]  # None = based at the regular module itself
     if not args.no_split:
@@ -303,8 +272,7 @@ def cmd_check(args) -> int:
     reports = []
     fault_notes = []
     all_ok = True
-    for side in sides:
-        base = _build_chromatic(H, data, side, pivot)
+    for side, base in bases.items():
         if args.inject_fault is not None:
             r, c = args.inject_fault
             nrows, ncols = base.matrix.shape
@@ -327,14 +295,15 @@ def cmd_check(args) -> int:
                 H, base, fam, side, check=args.inject_fault is None)
             P = G if fam is None else fam.P
             for X in xmods:
-                rep = verify_chromatic_identity(H, data, c_map, P, X, side,
-                                                pivot=pivot)
+                rep = verify_chromatic_identity(
+                    H, data, c_map, P, X, side,
+                    pivot=env.pivot if side == "spherical" else None)
                 reports.append(rep)
                 all_ok = all_ok and rep.equal
     payload = {"algebra": H.name, "all_equal": all_ok,
                "fault_notes": fault_notes,
                "grid": [r.as_dict() for r in reports]}
-    lines = [f"REJECTED  {note}" for note in fault_notes]
+    lines = skipped + [f"REJECTED  {note}" for note in fault_notes]
     for r in reports:
         status = "equal    " if r.equal else "NOT-EQUAL"
         line = (f"{status} side={r.side:9s} P={r.P_label:10s} X={r.X_label:6s} "
@@ -417,7 +386,7 @@ def main(argv=None) -> int:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     except (FileFormatError, FieldError, HopfDataError, ExprSyntaxError,
-            MorphismTypeError, OSError) as exc:
+            MorphismTypeError, PivotSearchInconclusive, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -30,6 +30,11 @@ __all__ = [
     "primitive_root_of_unity",
 ]
 
+# Largest cyclotomic conductor, checked before Phi_n is built (field_make took
+# 0.07 s at n = 1,000 and 29 s at n = 20,000 on a 2-core Xeon); every builtin
+# within hopf.MAX_DIM needs a root of unity of order at most 8.
+MAX_CONDUCTOR = 1000
+
 
 class FieldError(ValueError):
     """Invalid field specification or unparsable scalar literal."""
@@ -309,6 +314,8 @@ class CyclotomicField(Field):
     def __init__(self, n: int):
         if not isinstance(n, int) or n < 1:
             raise FieldError(f"conductor {n!r} must be a positive integer")
+        if n > MAX_CONDUCTOR:
+            raise FieldError(f"conductor {n} is above the bound of {MAX_CONDUCTOR}")
         self.n = n
         self.degree = _euler_phi(n)
         # monic modulus as Fractions, low degree first, without the leading 1

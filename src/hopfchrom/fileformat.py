@@ -160,11 +160,13 @@ def module_from_dict(data: dict, H: HopfAlgebra | None = None):
     for key in ("algebra", "dim", "action"):
         if key not in data:
             raise FileFormatError(f"module: missing required key {key!r}")
-    if H is None:
-        H = algebra_from_dict(data["algebra"])
     dim = data["dim"]
     if not isinstance(dim, int) or dim < 0:
         raise FileFormatError(f"module dim: expected a count, got {dim!r}")
+    if dim > MAX_DIM ** 2:  # dim H ox H at the largest H
+        raise FileFormatError(f"module dim: {dim} is above the bound of {MAX_DIM ** 2}")
+    if H is None:
+        H = algebra_from_dict(data["algebra"])
     field = H.field
     entries = [dict() for _ in range(H.dim)]
     for pos, item in enumerate(data["action"]):

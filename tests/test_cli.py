@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from hopfchrom import algebra_to_dict, save_algebra
-from hopfchrom.cli import main
+from hopfchrom import algebra_to_dict, hopf_make, save_algebra
+from hopfchrom.cli import _make_builtin, _parse_field, main
 
 
 def run(capsys, *argv):
@@ -104,6 +104,72 @@ def test_check_spherical_on_nonspherical_fails(capsys):
     code, _, err = run(capsys, "check", "--builtin", "sweedler",
                        "--side", "spherical")
     assert code == 1 and "not spherical" in err
+
+
+
+@pytest.fixture(scope="module")
+def rotated_uqsl2_file(tmp_path_factory):
+    """uqsl2:3 over GF(31) in the basis with b_K = e_K + 1: K is no longer a
+    basis vector, and the counit slice has 31^3 points, too many to search."""
+    H = _make_builtin("uqsl2:3", _parse_field("GF:31"))
+    f, n, K = H.field, H.dim, H.basis_names.index("K")
+    new = [H.basis_vector(i) for i in range(n)]
+    new[K] = [f.add(x, y) for x, y in zip(new[K], H.unit_vector())]
+    back = [H.basis_vector(i) for i in range(n)]  # e_K = b_K - b_1
+    back[K] = [f.sub(x, y) for x, y in zip(back[K], H.unit_vector())]
+
+    def to_new(v):
+        out = [f.zero] * n
+        for i, x in enumerate(v):
+            for j, y in enumerate(back[i]):
+                out[j] = f.add(out[j], f.mul(x, y))
+        return out
+
+    mult = [(i, j, k, c) for i in range(n) for j in range(n)
+            for k, c in enumerate(to_new(H.multiply(new[i], new[j])))]
+    comult = []
+    for k in range(n):
+        for (p, q), c in H.coproduct(new[k]).items():
+            comult += [(k, a, b, f.mul(c, f.mul(x, y)))
+                       for a, x in enumerate(back[p]) if x != f.zero
+                       for b, y in enumerate(back[q]) if y != f.zero]
+    antipode = [(i, j, c) for j in range(n)
+                for i, c in enumerate(to_new(H.antipode_apply(new[j])))]
+    R = hopf_make(f, H.basis_names, mult, to_new(H.unit_vector()), comult,
+                  [H.counit_apply(v) for v in new], antipode, name="uqsl2-rot")
+    path = tmp_path_factory.mktemp("rot") / "uqsl2-rot.json"
+    save_algebra(R, str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("args", [
+    ["chromatic", "--side", "spherical"],
+    ["check", "--side", "spherical"],
+    ["check", "--expr", "cSph"],
+])
+def test_spherical_requests_share_one_pivot_policy(capsys, rotated_uqsl2_file, args):
+    # an inconclusive pivot search is an input error with the search's message
+    code, _, err = run(capsys, args[0], rotated_uqsl2_file, *args[1:])
+    assert code == 2 and "pivot search inconclusive for uqsl2-rot" in err
+    # a decidedly non-spherical algebra is a verification failure
+    code, _, err = run(capsys, *args, "--builtin", "taft:3", "--field", "GF:7")
+    assert code == 1 and "taft:3 is not spherical" in err
+
+
+def test_check_all_skips_an_undecided_spherical_row(capsys, rotated_uqsl2_file):
+    code, out, _ = run(capsys, "check", rotated_uqsl2_file, "--modules", "trivial",
+                       "--no-split")
+    assert code == 0 and out.startswith("spherical row skipped: pivot search inconclusive")
+    assert "side=spherical" not in out and "all identities hold (2 checks)" in out
+
+
+def test_check_modules_accept_expression_names(capsys):
+    code, out, _ = run(capsys, "check", "--builtin", "group:Z2", "--side", "left",
+                       "--modules", "H,triv", "--no-split", "--json")
+    assert code == 0
+    assert [g["X"] for g in json.loads(out)["grid"]] == ["H", "triv"]
+    code, _, err = run(capsys, "check", "--builtin", "group:Z2", "--modules", "bogus")
+    assert code == 2 and "unknown module 'bogus'" in err
 
 
 def test_check_inject_fault(capsys):
@@ -233,13 +299,15 @@ SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
 def run_child(*argv):
-    """The CLI in a child process limited to 1 GB of address space and 20 s,
+    """The CLI, or the Python snippet after a leading ``"-c"``, in a child
+    process limited to 1 GB of address space and 20 s,
     so an input that allocates before it is checked fails fast instead of
     taking the host's memory; returns (exit code, stderr)."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
 
-    proc = subprocess.run([sys.executable, "-m", "hopfchrom.cli", *argv],
+    args = list(argv) if argv[0] == "-c" else ["-m", "hopfchrom.cli", *argv]
+    proc = subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, timeout=20, preexec_fn=limit,
                           env={**os.environ, "PYTHONPATH": SRC})
     return proc.returncode, proc.stderr
@@ -258,10 +326,30 @@ def test_oversized_inputs_exit_2_before_allocating(tmp_path):
     path.write_text(json.dumps({
         "field": {"kind": "rationals"}, "dim": n, "basis_names": [str(i) for i in range(n)],
         "unit": ["0"] * n, "counit": ["0"] * n, "mult": [], "comult": [], "antipode": []}))
+    cyc = tmp_path / "cyc20000.json"
+    cyc.write_text(json.dumps({**json.loads(path.read_text()),
+                               "field": {"kind": "cyclotomic", "n": 20000}}))
     for argv in (["verify", str(path)],
                  ["verify", "--builtin", "group:Z100000"],
+                 ["verify", "--builtin", "group:Z2", "--field", "Cyc:20000"],
+                 ["verify", str(cyc)],
                  ["check", "--builtin", "group:Z2", "--expr", "*".join(["id(H)"] * 40)],
                  # a source of dimension 1 whose words grow to 4^22
                  ["check", "--builtin", "group:Z2", "--expr", "*".join(["coev(H)"] * 22)]):
         code, err = run_child(*argv)
         assert code == 2 and "bound of" in err and "Traceback" not in err, (argv, err)
+
+
+def test_oversized_module_dim_is_refused_before_allocating():
+    code, err = run_child("-c", """if True:
+        import sys
+        from hopfchrom import FileFormatError, FieldSpec, field_make, sweedler_h4
+        from hopfchrom.fileformat import module_from_dict
+        H = sweedler_h4(field_make(FieldSpec("rationals")))
+        try:
+            module_from_dict({"algebra": None, "dim": 10 ** 8,
+                              "action": [[0, 0, 0, "1"]]}, H)
+        except FileFormatError as exc:
+            sys.exit(f"input error: {exc}")
+        """)
+    assert code == 1 and "bound of 4096" in err and "Traceback" not in err, err
