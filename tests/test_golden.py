@@ -21,6 +21,9 @@ from hopfchrom.cli import main
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 SWEEDLER_FILE = str(pathlib.Path(__file__).parents[1] / "docs" / "sweedler_h4.json")
+# the left defining identity at X = triv, P = H, as the README types it
+README_LEFT_IDENTITY = ("id(triv)*ev(H)*id(H) ; lamL(triv,ld(H))*id(H,H) ; "
+                        "id(triv,ld(H))*cL ; id(triv)*coev(ld(H))*id(H)")
 
 CASES = {
     "integrals-sweedler": ["integrals", "--builtin", "sweedler"],
@@ -41,6 +44,12 @@ CASES = {
     "integrals-taft4-cyc8": ["integrals", "--builtin", "taft:4", "--field", "Cyc:8"],
     "verify-uqsl2-3-gf7": ["verify", "--builtin", "uqsl2:3", "--field", "GF:7"],
     "integrals-dualgroup-Z3": ["integrals", "--builtin", "dualgroup:Z3"],
+    "check-expr-left-z2": ["check", "--builtin", "group:Z2", "--expr", README_LEFT_IDENTITY,
+                           "--equals", "id(triv,H)"],
+    "check-spherical-uqsl2-3-gf7": ["check", "--builtin", "uqsl2:3", "--field", "GF:7",
+                                    "--side", "spherical", "--modules", "trivial,alpha"],
+    "chromatic-spherical-group-S3": ["chromatic", "--builtin", "group:S3",
+                                     "--side", "spherical"],
 }
 
 
