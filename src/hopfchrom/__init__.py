@@ -53,7 +53,6 @@ from .hmod import (
     hom_basis,
     hom_space,
     is_h_linear,
-    lambda_endomorphism,
     lambda_transform,
     module_make,
     pivotal_evaluation_morphisms,

@@ -324,22 +324,29 @@ class ExprEnv:
         return self._modules[key]
 
     def primitive(self, name: str, mods: list[HModule]) -> MorphismExpr:
+        """The named primitive; an evaluation or Lambda-transformation is
+        checked H-linear here, a chromatic map by its builder."""
         hm = self._hmod
         if name == "id":
             return Ident(tuple(mods))
-        if name in ("ev", "coev", "evt", "coevt"):
-            if len(mods) != 1:
-                raise ExprSyntaxError(f"{name} takes exactly one module")
-            ev, coev, evt, coevt = hm.evaluation_morphisms(mods[0])
-            return Prim({"ev": ev, "coev": coev, "evt": evt, "coevt": coevt}[name])
-        if name in ("lamL", "lamR"):
-            _check_word_dim(word_dim(mods), f"{name} word {word_label(tuple(mods))}")
-            side = "left" if name == "lamL" else "right"
-            return Prim(hm.lambda_transform(self.H, self.data, tuple(mods), side))
         sides = {"cL": "left", "cR": "right", "cSph": "spherical"}
         if name in sides:
             return Prim(self.chromatic(sides[name]))
-        raise ExprSyntaxError(f"unknown primitive {name!r}")
+        evaluations = ("ev", "coev", "evt", "coevt")
+        if name in evaluations:
+            if len(mods) != 1:
+                raise ExprSyntaxError(f"{name} takes exactly one module")
+            mor = hm.evaluation_morphisms(mods[0])[evaluations.index(name)]
+        elif name in ("lamL", "lamR"):
+            _check_word_dim(word_dim(mods), f"{name} word {word_label(tuple(mods))}")
+            side = "left" if name == "lamL" else "right"
+            mor = hm.lambda_transform(self.H, self.data, tuple(mods), side)
+        else:
+            raise ExprSyntaxError(f"unknown primitive {name!r}")
+        if not hm.is_h_linear(mor):
+            raise hm.ModuleAxiomError(
+                f"{name}({', '.join(m.label for m in mods)}) is not H-linear")
+        return Prim(mor)
 
 
 class _Parser:

@@ -30,12 +30,10 @@ from .hmod import (
     dual_module,
     evaluation_morphisms,
     is_h_linear,
-    lambda_endomorphism,
     lambda_transform,
     pivotal_evaluation_morphisms,
     regular_module,
     word_dim,
-    word_label,
     words_match,
 )
 from .hopf import HopfAlgebra, pairing
@@ -96,8 +94,7 @@ def _sweedler_map(H: HopfAlgebra, legs: list, table: list[list], right: bool) ->
     return Matrix.from_entries(f, n * n, n * n, entries)
 
 
-def chromatic_left_hopf(H: HopfAlgebra, data: IntegralData | None = None,
-                        check: bool = True) -> Morphism:
+def chromatic_left_hopf(H: HopfAlgebra, data: IntegralData | None = None) -> Morphism:
     """Left chromatic map ldld(H) ox H -> alpha ox H ox H based at H for H."""
     data = data or normalized_pair(H)
     f, n, alpha = H.field, H.dim, data.alpha
@@ -109,13 +106,12 @@ def chromatic_left_hopf(H: HopfAlgebra, data: IntegralData | None = None,
     Gll = dual_module(dual_module(G, "left"), "left")
     mor = Morphism((Gll, G), (alpha_module(H, data), G, G),
                    _sweedler_map(H, legs, table, right=False))
-    if check and not is_h_linear(mor):
+    if not is_h_linear(mor):
         raise ModuleAxiomError("left chromatic map failed the intertwiner check")
     return mor
 
 
-def chromatic_right_hopf(H: HopfAlgebra, data: IntegralData | None = None,
-                         check: bool = True) -> Morphism:
+def chromatic_right_hopf(H: HopfAlgebra, data: IntegralData | None = None) -> Morphism:
     """Right chromatic map H ox rdrd(H) -> H ox H ox alpha based at H for H.
 
     ``y ox e_x -> y_(1) ox y_(2) ox alpha(y_(3)) lambda(S(e_x) y_(4))``: the
@@ -132,14 +128,13 @@ def chromatic_right_hopf(H: HopfAlgebra, data: IntegralData | None = None,
     Grr = dual_module(dual_module(G, "right"), "right")
     mor = Morphism((G, Grr), (G, G, alpha_module(H, data)),
                    _sweedler_map(H, legs, table, right=True))
-    if check and not is_h_linear(mor):
+    if not is_h_linear(mor):
         raise ModuleAxiomError("right chromatic map failed the intertwiner check")
     return mor
 
 
 def chromatic_spherical(H: HopfAlgebra, data: IntegralData | None = None,
-                        pivot: PivotData | None = None,
-                        check: bool = True) -> Morphism:
+                        pivot: PivotData | None = None) -> Morphism:
     """Spherical chromatic map x ox y -> lambda(S(y_(1)) g x) y_(2) ox y_(3)."""
     data = data or normalized_pair(H)
     if pivot is None or not is_unimodular(H, data) or \
@@ -154,7 +149,7 @@ def chromatic_spherical(H: HopfAlgebra, data: IntegralData | None = None,
                                [H.multiply(pivot.g, H.basis_vector(x)) for x in range(n)])
     G = regular_module(H)
     mor = Morphism((G, G), (G, G), _sweedler_map(H, legs, table, right=False))
-    if check and not is_h_linear(mor):
+    if not is_h_linear(mor):
         raise ModuleAxiomError("spherical chromatic map failed the intertwiner check")
     return mor
 
@@ -167,10 +162,9 @@ class RetractFamily:
     maps: tuple  # of (f_i, g_i) Morphism pairs
 
     @classmethod
-    def make(cls, P: HModule, maps, check: bool = True) -> "RetractFamily":
+    def make(cls, P: HModule, maps) -> "RetractFamily":
         fam = cls(P, tuple(tuple(p) for p in maps))
-        if check:
-            fam.validate()
+        fam.validate()
         return fam
 
     def validate(self):
@@ -201,8 +195,7 @@ def _submatrix(mat: Matrix, row_range, col_range) -> Matrix:
     return Matrix.from_entries(mat.field, r1 - r0, c1 - c0, entries)
 
 
-def split_idempotent(e: Morphism, label: str | None = None,
-                     check: bool = True) -> RetractFamily:
+def split_idempotent(e: Morphism, label: str | None = None) -> RetractFamily:
     """Split an H-linear idempotent on a direct sum of regular modules.
 
     The source must be a single module whose coordinates are consecutive
@@ -216,11 +209,10 @@ def split_idempotent(e: Morphism, label: str | None = None,
     n = H.dim
     if Q.dim % n != 0:
         raise MorphismTypeError(f"{Q.label!r} is not a sum of regular blocks")
-    if check:
-        if e.matrix @ e.matrix != e.matrix:
-            raise ModuleAxiomError("endomorphism is not idempotent")
-        if not is_h_linear(e):
-            raise ModuleAxiomError("idempotent is not H-linear")
+    if e.matrix @ e.matrix != e.matrix:
+        raise ModuleAxiomError("endomorphism is not idempotent")
+    if not is_h_linear(e):
+        raise ModuleAxiomError("idempotent is not H-linear")
     f = H.field
     _, rank, pivots = e.matrix.rref()
     B = Matrix.from_columns(f, [e.matrix.col_list(j) for j in pivots]) \
@@ -234,7 +226,7 @@ def split_idempotent(e: Morphism, label: str | None = None,
             actions.append(Matrix.zeros(f, 0, 0))
     P = HModule(H, rank, actions, label or f"split({Q.label})")
     if rank == 0:
-        return RetractFamily.make(P, [], check=check)
+        return RetractFamily.make(P, [])
     G = regular_module(H)
     coords = B.solve_matrix(e.matrix)  # rank x Q.dim with coords(e v) = B-coefficients
     maps = []
@@ -242,12 +234,13 @@ def split_idempotent(e: Morphism, label: str | None = None,
         fi = Morphism((P,), (G,), _submatrix(B, (blk * n, (blk + 1) * n), (0, rank)))
         gi = Morphism((G,), (P,), _submatrix(coords, (0, rank), (blk * n, (blk + 1) * n)))
         maps.append((fi, gi))
-    return RetractFamily.make(P, maps, check=check)
+    return RetractFamily.make(P, maps)
 
 
 def chromatic_retract(H: HopfAlgebra, c: Morphism, fam: RetractFamily,
                       side: str, check: bool = True) -> Morphism:
-    """Extend a chromatic map based at H to one based at P along a retract."""
+    """Extend a chromatic map based at H to one based at P along a retract;
+    ``check=False`` (a base map with an injected fault) skips its H-linearity."""
     P = fam.P
     if side in ("left", "spherical"):  # P is the last leg of both words
         kept_s, kept_t = c.source[:-1], c.target[:-1]
@@ -303,48 +296,31 @@ def verify_chromatic_identity(H: HopfAlgebra, data: IntegralData, c: Morphism,
     """Evaluate the defining composite for ``side`` and compare with the identity.
 
     G is the regular module (the projective generator).  ``c`` must be a
-    chromatic map of the matching type based at P.  The composite is applied
-    factor by factor to all dim(X ox P) identity columns (``evaluate``), so
-    every column is decided, and no ``id ox f ox id`` over the four-leg word
-    is formed as a Kronecker product.
+    chromatic map of the matching type based at P; ``evaluate`` types the
+    composite first, so a map with other words raises MorphismTypeError before
+    any arithmetic.  The composite is applied factor by factor to all
+    dim(X ox P) identity columns, so every column is decided, and no
+    ``id ox f ox id`` over the four-leg word is formed as a Kronecker product.
     """
     t0 = time.perf_counter()
     G = regular_module(H)
     if side == "left":
         Gl = dual_module(G, "left")
-        _, coev_gl, _, _ = evaluation_morphisms(Gl, check=False)
-        ev_g, _, _, _ = evaluation_morphisms(G, check=False)
-        if not words_match(c.source, coev_gl.target[1:] + (P,)) or \
-                not words_match(c.target[1:], (G, P)):
-            raise MorphismTypeError(
-                f"left chromatic map has words {word_label(c.source)} -> "
-                f"{word_label(c.target)}, expected ld(ld(H))*{P.label} -> "
-                f"alpha*H*{P.label}"
-            )
-        start = (X, P)
+        _, coev_gl, _, _ = evaluation_morphisms(Gl)
+        ev_g, _, _, _ = evaluation_morphisms(G)
         expr = compose(
             tensor(identity((X,)), Prim(ev_g), identity((P,))),
-            tensor(Prim(lambda_transform(H, data, (X, Gl), "left", check=False)),
-                   identity((G, P))),
+            tensor(Prim(lambda_transform(H, data, (X, Gl), "left")), identity((G, P))),
             tensor(identity((X, Gl)), Prim(c)),
             tensor(identity((X,)), Prim(coev_gl), identity((P,))),
         )
     elif side == "right":
         Gr = dual_module(G, "right")
-        _, _, _, coevt_gr = evaluation_morphisms(Gr, check=False)
-        _, _, evt_g, _ = evaluation_morphisms(G, check=False)
-        if not words_match(c.source, (P,) + coevt_gr.target[:1]) or \
-                not words_match(c.target[:-1], (P, G)):
-            raise MorphismTypeError(
-                f"right chromatic map has words {word_label(c.source)} -> "
-                f"{word_label(c.target)}, expected {P.label}*rd(rd(H)) -> "
-                f"{P.label}*H*alpha"
-            )
-        start = (P, X)
+        _, _, _, coevt_gr = evaluation_morphisms(Gr)
+        _, _, evt_g, _ = evaluation_morphisms(G)
         expr = compose(
             tensor(identity((P,)), Prim(evt_g), identity((X,))),
-            tensor(identity((P, G)),
-                   Prim(lambda_transform(H, data, (Gr, X), "right", check=False))),
+            tensor(identity((P, G)), Prim(lambda_transform(H, data, (Gr, X), "right"))),
             tensor(Prim(c), identity((Gr, X))),
             tensor(identity((P,)), Prim(coevt_gr), identity((X,))),
         )
@@ -352,25 +328,20 @@ def verify_chromatic_identity(H: HopfAlgebra, data: IntegralData, c: Morphism,
         if pivot is None:
             raise NotSphericalError("spherical verification needs a pivot")
         Gl = dual_module(G, "left")
-        ev_g, _, _, _ = evaluation_morphisms(G, check=False)
-        _, coevt_piv = pivotal_evaluation_morphisms(G, pivot.g, pivot.g_inverse,
-                                                    check=False)
-        if not words_match(c.source, (G, P)) or not words_match(c.target, (G, P)):
-            raise MorphismTypeError(
-                f"spherical chromatic map has words {word_label(c.source)} -> "
-                f"{word_label(c.target)}, expected H*{P.label} -> H*{P.label}"
-            )
-        start = (X, P)
+        ev_g, _, _, _ = evaluation_morphisms(G)
+        _, coevt_piv = pivotal_evaluation_morphisms(G, pivot.g, pivot.g_inverse)
+        # alpha is trivial on a unimodular H: Lambda^l as an endomorphism
+        lam = lambda_transform(H, data, (X, Gl), "left").matrix
         expr = compose(
             tensor(identity((X,)), Prim(ev_g), identity((P,))),
-            tensor(Prim(lambda_endomorphism(H, data, (X, Gl), check=False)), Prim(c)),
+            tensor(Prim(Morphism((X, Gl), (X, Gl), lam)), Prim(c)),
             tensor(identity((X,)), Prim(coevt_piv), identity((P,))),
         )
     else:
         raise ValueError(f"side must be left, right or spherical, got {side!r}")
 
     got = evaluate(expr)
-    want = Matrix.identity(H.field, word_dim(start))
+    want = Matrix.identity(H.field, got.matrix.ncols)
     diff = got.matrix.first_difference(want)
     mismatch = None
     if diff is not None:
@@ -389,5 +360,5 @@ def verify_chromatic_identity(H: HopfAlgebra, data: IntegralData, c: Morphism,
         equal=diff is None,
         mismatch=mismatch,
         elapsed=time.perf_counter() - t0,
-        identity_dim=word_dim(start),
+        identity_dim=got.matrix.ncols,
     )

@@ -9,6 +9,13 @@ unit.
 Left duals act by ``transpose(rho(S(h)))``, right duals by
 ``transpose(rho(S^{-1}(h)))``.  The Lambda-transformations are the actions of
 ``S^{-1}(Lambda)`` (left) and ``S(Lambda)`` (right).
+
+Verification policy (here and in ``chromatic``): structure morphisms and the
+standard modules are built unchecked; every entry point for outside names or
+data always checks: ``module_make`` the action axioms, ``ExprEnv.primitive``
+the one morphism it returns, the chromatic builders, ``split_idempotent`` and
+``RetractFamily.make`` H-linearity.  The one switch is
+``chromatic_retract(check)``, which the CLI turns off under an injected fault.
 """
 
 from __future__ import annotations
@@ -42,7 +49,6 @@ __all__ = [
     "hom_space",
     "hom_basis",
     "lambda_transform",
-    "lambda_endomorphism",
 ]
 
 
@@ -82,7 +88,7 @@ class HModule:
         return f"HModule({self.label!r}, dim={self.dim})"
 
 
-def module_make(H: HopfAlgebra, action, label: str, check: bool = True) -> HModule:
+def module_make(H: HopfAlgebra, action, label: str) -> HModule:
     """Validate and wrap action matrices: rho(1) = id, rho an algebra map."""
     action = list(action)
     if len(action) != H.dim:
@@ -92,8 +98,7 @@ def module_make(H: HopfAlgebra, action, label: str, check: bool = True) -> HModu
         raise ModuleAxiomError("action matrices must be square of equal size")
     dim = action[0].nrows if action else 0
     mod = HModule(H, dim, action, label)
-    if check:
-        _validate_module(mod)
+    _validate_module(mod)
     return mod
 
 
@@ -251,12 +256,7 @@ def is_h_linear(mor: Morphism) -> bool:
     return True
 
 
-def _require_h_linear(mor: Morphism, what: str):
-    if not is_h_linear(mor):
-        raise ModuleAxiomError(f"{what} is not H-linear")
-
-
-def evaluation_morphisms(M: HModule, check: bool = True):
+def evaluation_morphisms(M: HModule):
     """(ev, coev, ev~, coev~) for M with its left and right duals.
 
     ev : ldM ox M -> 1,  coev : 1 -> M ox ldM,
@@ -273,13 +273,10 @@ def evaluation_morphisms(M: HModule, check: bool = True):
     coev = Morphism((), (M, ld), pair_col)
     evt = Morphism((M, rd), (), pair_row)
     coevt = Morphism((), (rd, M), pair_col)
-    if check:
-        for mor, what in ((ev, "ev"), (coev, "coev"), (evt, "ev~"), (coevt, "coev~")):
-            _require_h_linear(mor, f"{what} on {M.label!r}")
     return ev, coev, evt, coevt
 
 
-def pivotal_evaluation_morphisms(M: HModule, g: list, g_inv: list, check: bool = True):
+def pivotal_evaluation_morphisms(M: HModule, g: list, g_inv: list):
     """Pivot-twisted right (co)evaluations against the left dual.
 
     For a pivot g (S^2 = conj by g) the left dual also right-dualizes M via
@@ -296,9 +293,6 @@ def pivotal_evaluation_morphisms(M: HModule, g: list, g_inv: list, check: bool =
     coevt_entries = {(j * d + i, 0): v for i, j, v in rho_ginv.nonzero_items()}
     evt = Morphism((M, ld), (), Matrix.from_entries(f, 1, d * d, evt_entries))
     coevt = Morphism((), (ld, M), Matrix.from_entries(f, d * d, 1, coevt_entries))
-    if check:
-        _require_h_linear(evt, f"pivotal ev~ on {M.label!r}")
-        _require_h_linear(coevt, f"pivotal coev~ on {M.label!r}")
     return evt, coevt
 
 
@@ -328,8 +322,7 @@ def hom_basis(M: HModule, N: HModule) -> list[Matrix]:
     return out
 
 
-def lambda_transform(H: HopfAlgebra, data: IntegralData, word, side: str,
-                     check: bool = True) -> Morphism:
+def lambda_transform(H: HopfAlgebra, data: IntegralData, word, side: str) -> Morphism:
     """The natural transformation component at a tensor word.
 
     left : word ox alpha -> word, acting by S^{-1}(Lambda);
@@ -339,27 +332,8 @@ def lambda_transform(H: HopfAlgebra, data: IntegralData, word, side: str,
     alpha = alpha_module(H, data)
     if side == "left":
         mat = word_element_action(H, word, H.antipode_inverse_apply(data.left_cointegral))
-        mor = Morphism(word + (alpha,), word, mat)
-    elif side == "right":
+        return Morphism(word + (alpha,), word, mat)
+    if side == "right":
         mat = word_element_action(H, word, H.antipode_apply(data.left_cointegral))
-        mor = Morphism((alpha,) + word, word, mat)
-    else:
-        raise ValueError(f"side must be left or right, got {side!r}")
-    if check:
-        _require_h_linear(mor, f"Lambda^{side[0]} at {word_label(word)}")
-    return mor
-
-
-def lambda_endomorphism(H: HopfAlgebra, data: IntegralData, word,
-                        check: bool = True) -> Morphism:
-    """Endomorphism form of the Lambda-transformation (alpha leg absorbed).
-
-    Meaningful when H is unimodular, where alpha is the trivial module and
-    the left and right transformations agree on projectives.
-    """
-    word = _as_word(word)
-    mat = word_element_action(H, word, H.antipode_inverse_apply(data.left_cointegral))
-    mor = Morphism(word, word, mat)
-    if check:
-        _require_h_linear(mor, f"Lambda endomorphism at {word_label(word)}")
-    return mor
+        return Morphism((alpha,) + word, word, mat)
+    raise ValueError(f"side must be left or right, got {side!r}")

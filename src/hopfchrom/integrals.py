@@ -38,6 +38,10 @@ __all__ = [
     "is_spherical_hmod",
 ]
 
+# The exhaustive pivot search over GF(p) builds at most this many points of
+# the counit slice (uqsl2:3 over GF(13) has 2,197; dualgroup:S3 over GF(7) 16,807).
+PIVOT_EXHAUST_LIMIT = 20000
+
 
 class PivotSearchInconclusive(RuntimeError):
     """The pivot search could not be made exhaustive and found no candidate."""
@@ -332,15 +336,14 @@ def _grouplikes_on_plane(H: HopfAlgebra, u1: list, u2: list):
     return out, complete
 
 
-def pivot_candidates(H: HopfAlgebra, data: IntegralData | None = None,
-                     hints: tuple = (), exhaust_limit: int = 20000):
+def pivot_candidates(H: HopfAlgebra, data: IntegralData | None = None):
     """All pivots found: grouplike g with S^2 = conj(g), unibalanced via lambda.
 
     The intertwiner space V of S^2(h) v = v h is searched completely when
     dim V <= 2 (counit-line elimination plus exact quadratic roots) or when
     the field is finite and the slice eps(v) = 1 of V, which has |F|^(dim V - 1)
-    points or none, has at most exhaust_limit points; the unit, the basis
-    vectors and user hints are always tested.  The exhaustive branch builds
+    points or none, has at most PIVOT_EXHAUST_LIMIT points; the unit and the
+    basis vectors are always tested.  The exhaustive branch builds
     only the points of that slice, and every candidate is checked by
     ``_is_pivot``: eps(v) = 1, then v^2 = a, then all three conditions.  Raises
     PivotSearchInconclusive when the search was not exhaustive and nothing
@@ -371,7 +374,7 @@ def pivot_candidates(H: HopfAlgebra, data: IntegralData | None = None,
         live = [k for k in range(d) if eps[k] != f.zero]
         if not live:
             complete = True
-        elif f.characteristic() ** (d - 1) <= exhaust_limit:
+        elif f.characteristic() ** (d - 1) <= PIVOT_EXHAUST_LIMIT:
             m = live[-1]
             inv_m = f.inv(eps[m])
             for rest in product(f.elements(), repeat=d - 1):
@@ -381,7 +384,6 @@ def pivot_candidates(H: HopfAlgebra, data: IntegralData | None = None,
     # cheap deterministic candidates, useful when the search is not complete
     candidates.append(H.unit_vector())
     candidates.extend(H.basis_vector(i) for i in range(H.dim))
-    candidates.extend([f.coerce(x) for x in h] for h in hints)
 
     seen = set()
     found = []
@@ -409,8 +411,7 @@ def pivot_candidates(H: HopfAlgebra, data: IntegralData | None = None,
     return [PivotData(g=v, g_inverse=H.antipode_apply(v)) for v in found]
 
 
-def is_spherical_hmod(H: HopfAlgebra, data: IntegralData | None = None,
-                      hints: tuple = ()):
+def is_spherical_hmod(H: HopfAlgebra, data: IntegralData | None = None):
     """(spherical?, chosen pivot): unimodular and unibalanced-pivotal.
 
     The chosen pivot is deterministic: the unit if valid, else the first
@@ -419,7 +420,7 @@ def is_spherical_hmod(H: HopfAlgebra, data: IntegralData | None = None,
     data = data or normalized_pair(H)
     if not is_unimodular(H, data):
         return False, None
-    pivots = pivot_candidates(H, data, hints=hints)
+    pivots = pivot_candidates(H, data)
     if not pivots:
         return False, None
     return True, pivots[0]

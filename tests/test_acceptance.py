@@ -207,8 +207,8 @@ def test_criterion_5_lambda_comparison_on_projectives():
             assert spherical, H.name  # all unimodular builtins are pivotal here
             fam = _retract_family(H)
             for P in (regular_module(H), fam.P):
-                left = lambda_transform(H, d, (P,), "left", check=False)
-                right = lambda_transform(H, d, (P,), "right", check=False)
+                left = lambda_transform(H, d, (P,), "left")
+                right = lambda_transform(H, d, (P,), "right")
                 assert left.matrix == right.matrix, (H.name, P.label)
 
 
@@ -339,8 +339,8 @@ def test_criterion_9_lambda_naturality():
             G = regular_module(H)
             basis = hom_basis(G, G)
             assert len(basis) == H.dim, H.name
-            ll = lambda_transform(H, d, (G,), "left", check=False).matrix
-            rr = lambda_transform(H, d, (G,), "right", check=False).matrix
+            ll = lambda_transform(H, d, (G,), "left").matrix
+            rr = lambda_transform(H, d, (G,), "right").matrix
             for F in basis:
                 assert F @ ll == ll @ F, H.name
                 assert F @ rr == rr @ F, H.name

@@ -88,7 +88,7 @@ def test_right_map_agrees_with_printed_formula(corpus_data):
 def test_right_map_matches_cop_transport_beyond_corpus(name, spec):
     H = _make_builtin(name, _parse_field(spec))
     d = normalized_pair(H)
-    assert chromatic_right_hopf(H, d, check=False).matrix == cop_transported_right_map(H)
+    assert chromatic_right_hopf(H, d).matrix == cop_transported_right_map(H)
 
 
 def test_right_map_h_linear_h4(h4, corpus_data):
@@ -167,7 +167,7 @@ def test_retract_rejects_module_only_labelled_regular(h4, corpus_data):
     maps = [(Morphism((fake,), (fake,), ident), Morphism((fake,), (fake,), ident))]
     with pytest.raises(MorphismTypeError):
         RetractFamily.make(fake, maps)
-    fam = RetractFamily.make(fake, maps, check=False)
+    fam = RetractFamily(fake, tuple(maps))
     for side, base in (("left", chromatic_left_hopf(h4, d)),
                        ("right", chromatic_right_hopf(h4, d))):
         with pytest.raises(MorphismTypeError, match="cannot compose"):
@@ -271,8 +271,8 @@ def test_lambda_left_equals_right_on_projectives_unimodular(corpus_data):
         G = regular_module(H)
         fam = split_idempotent(right_mult_idempotent(H))
         for P in (G, fam.P):
-            ll = lambda_transform(H, d, (P,), "left", check=False)
-            rr = lambda_transform(H, d, (P,), "right", check=False)
+            ll = lambda_transform(H, d, (P,), "left")
+            rr = lambda_transform(H, d, (P,), "right")
             assert ll.matrix == rr.matrix, (name, P.label)
 
 

@@ -80,7 +80,8 @@ def test_dual_modules(h4, t3):
 def test_evaluation_zigzags(corpus_data):
     for name, (H, d) in corpus_data.items():
         M = regular_module(H)
-        ev, coev, evt, coevt = evaluation_morphisms(M)  # H-linearity asserted
+        ev, coev, evt, coevt = evaluation_morphisms(M)
+        assert all(is_h_linear(m) for m in (ev, coev, evt, coevt)), name
         idm = identity((M,))
         ld = ev.source[0]
         idl = identity((ld,))
@@ -133,16 +134,25 @@ def test_lambda_transform_examples(corpus_data):
     assert lam4r.matrix == reg4.act(h4.antipode_apply(dh4.left_cointegral))
 
 
+def test_lambda_transform_is_h_linear(corpus_data):
+    # built unchecked, so its H-linearity is asserted here, on both sides
+    for name, (H, d) in corpus_data.items():
+        reg = regular_module(H)
+        for word in ((reg,), (trivial_module(H),), (reg, dual_module(reg, "left"))):
+            for side in ("left", "right"):
+                assert is_h_linear(lambda_transform(H, d, word, side)), (name, side, word)
+
+
 def test_lambda_naturality(corpus_data):
     # F o Lambda^l_M = Lambda^l_N o (F ox id_alpha) over a hom basis
     for name, (H, d) in corpus_data.items():
         reg = regular_module(H)
         triv = trivial_module(H)
         for M, N in ((reg, reg), (triv, reg), (reg, triv)):
-            lam_m = lambda_transform(H, d, (M,), "left", check=False)
-            lam_n = lambda_transform(H, d, (N,), "left", check=False)
-            lam_m_r = lambda_transform(H, d, (M,), "right", check=False)
-            lam_n_r = lambda_transform(H, d, (N,), "right", check=False)
+            lam_m = lambda_transform(H, d, (M,), "left")
+            lam_n = lambda_transform(H, d, (N,), "left")
+            lam_m_r = lambda_transform(H, d, (M,), "right")
+            lam_n_r = lambda_transform(H, d, (N,), "right")
             for F in hom_basis(M, N):
                 assert F @ lam_m.matrix == lam_n.matrix @ F, name
                 assert F @ lam_m_r.matrix == lam_n_r.matrix @ F, name
@@ -170,6 +180,7 @@ def test_pivotal_evaluations_with_both_z2_pivots(corpus_data):
     f = z2.field
     for p in pivot_candidates(z2, d):
         evt, coevt = pivotal_evaluation_morphisms(reg, p.g, p.g_inverse)
+        assert is_h_linear(evt) and is_h_linear(coevt)
         idm = identity((reg,))
         idl = identity((evt.source[1],))
         z = evaluate(compose(tensor(Prim(evt), idm), tensor(idm, Prim(coevt))))
@@ -186,15 +197,15 @@ def test_lambda_naturality_word_typed(h4, corpus_data):
     triv = trivial_module(h4)
     alpha = alpha_module(h4, d)
     for M, N in ((reg, reg), (triv, reg)):
-        lam_m = lambda_transform(h4, d, (M,), "left", check=False)
-        lam_n = lambda_transform(h4, d, (N,), "left", check=False)
+        lam_m = lambda_transform(h4, d, (M,), "left")
+        lam_n = lambda_transform(h4, d, (N,), "left")
         for F in hom_basis(M, N):
             Fmor = Prim(Morphism((M,), (N,), F))
             lhs = evaluate(compose(Fmor, Prim(lam_m)))
             rhs = evaluate(compose(Prim(lam_n), tensor(Fmor, identity((alpha,)))))
             assert lhs.matrix == rhs.matrix
-        lam_m_r = lambda_transform(h4, d, (M,), "right", check=False)
-        lam_n_r = lambda_transform(h4, d, (N,), "right", check=False)
+        lam_m_r = lambda_transform(h4, d, (M,), "right")
+        lam_n_r = lambda_transform(h4, d, (N,), "right")
         for F in hom_basis(M, N):
             Fmor = Prim(Morphism((M,), (N,), F))
             lhs = evaluate(compose(Fmor, Prim(lam_m_r)))

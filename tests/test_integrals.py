@@ -333,13 +333,6 @@ def test_alpha_matches_inverse_of_dual_distinguished_grouplike(corpus_data):
             assert conv == H.counit[k], name
 
 
-def test_pivot_candidates_accept_hints(z2):
-    d = normalized_pair(z2)
-    # hints are deduplicated against the complete search and re-verified
-    cands = pivot_candidates(z2, d, hints=([1, 1], [0, 1]))
-    assert [p.g for p in cands] == [z2.basis_vector(0), z2.basis_vector(1)]
-
-
 def test_plane_search_pivots_over_q_and_gf7():
     # dim V = 2 on both algebras, so the search runs through the counit-line
     # elimination and the polynomial gcd

@@ -100,8 +100,8 @@ def test_spherical_identity_with_nontrivial_pivot(uq):
 def test_lambda_comparison_on_projectives(uq):
     H, d = uq
     G = regular_module(H)
-    left = lambda_transform(H, d, (G,), "left", check=False)
-    right = lambda_transform(H, d, (G,), "right", check=False)
+    left = lambda_transform(H, d, (G,), "left")
+    right = lambda_transform(H, d, (G,), "right")
     assert left.matrix == right.matrix
 
 
