@@ -36,6 +36,7 @@ from .chromatic import (
 from .fields import FieldError, FieldSpec, field_make
 from .fileformat import FileFormatError, load_algebra
 from .hmod import (
+    ModuleAxiomError,
     Morphism,
     MorphismTypeError,
     is_h_linear,
@@ -237,15 +238,30 @@ def _check_expr(args, env: ExprEnv) -> int:
     return EXIT_OK if equal in (True, None) else EXIT_VERIFICATION
 
 
+def _check_options(args):
+    """``--expr`` replaces the grid, so the grid's options cannot ride along."""
+    if args.expr is None:
+        if args.equals is not None:
+            raise HopfDataError("--equals needs --expr")
+        return
+    for opt, used in (("--side", args.side is not None),
+                      ("--modules", args.modules is not None),
+                      ("--no-split", args.no_split),
+                      ("--inject-fault", args.inject_fault is not None)):
+        if used:
+            raise HopfDataError(f"{opt} applies to the grid, not to --expr")
+
+
 def cmd_check(args) -> int:
+    _check_options(args)
     H = _load(args)
     env = ExprEnv(H)
-    if args.expr:
+    if args.expr is not None:
         return _check_expr(args, env)
 
     data = env.data
     skipped = []
-    if args.side != "all":
+    if args.side not in (None, "all"):
         sides = [args.side]
     else:
         # the spherical row joins when the pivot search decides H is spherical
@@ -258,7 +274,7 @@ def cmd_check(args) -> int:
     bases = {side: env.chromatic(side) for side in sides}
 
     G = env.module("H")
-    wanted = args.modules.split(",") if args.modules != "all" else [
+    wanted = args.modules.split(",") if args.modules not in (None, "all") else [
         "trivial", "regular", "alpha"]
     xmods = [env.module(w.strip()) for w in wanted]
 
@@ -303,6 +319,8 @@ def cmd_check(args) -> int:
     payload = {"algebra": H.name, "all_equal": all_ok,
                "fault_notes": fault_notes,
                "grid": [r.as_dict() for r in reports]}
+    if skipped:
+        payload["skipped"] = skipped
     lines = skipped + [f"REJECTED  {note}" for note in fault_notes]
     for r in reports:
         status = "equal    " if r.equal else "NOT-EQUAL"
@@ -353,15 +371,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="verify the defining identities on a grid")
     common(p)
     p.add_argument("--side", choices=("left", "right", "spherical", "all"),
-                   default="all")
-    p.add_argument("--modules", default="all",
-                   help="comma list from trivial,regular,alpha (X of the grid)")
+                   help="grid sides (default all)")
+    p.add_argument("--modules",
+                   help="comma list from trivial,regular,alpha (X of the grid; default all)")
     p.add_argument("--no-split", action="store_true",
                    help="skip the idempotent-summand P")
     p.add_argument("--inject-fault", type=_fault, metavar="R,C",
                    help="perturb one entry of the chromatic matrix (negative control)")
-    p.add_argument("--expr", help="evaluate a morphism expression instead of the grid")
-    p.add_argument("--equals", help="second expression to compare against")
+    p.add_argument("--expr", help="evaluate a morphism expression instead of the grid; "
+                   "takes none of the grid options")
+    p.add_argument("--equals", help="second expression to compare against (needs --expr)")
     p.set_defaults(func=cmd_check)
     return ap
 
@@ -382,7 +401,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_join_fault_value(argv))
     try:
         return args.func(args)
-    except (HopfAxiomError, NotSphericalError) as exc:
+    except (HopfAxiomError, NotSphericalError, ModuleAxiomError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     except (FileFormatError, FieldError, HopfDataError, ExprSyntaxError,

@@ -161,6 +161,12 @@ def test_check_all_skips_an_undecided_spherical_row(capsys, rotated_uqsl2_file):
                        "--no-split")
     assert code == 0 and out.startswith("spherical row skipped: pivot search inconclusive")
     assert "side=spherical" not in out and "all identities hold (2 checks)" in out
+    code, out, _ = run(capsys, "check", rotated_uqsl2_file, "--modules", "trivial",
+                       "--no-split", "--json")
+    payload = json.loads(out)
+    assert code == 0 and len(payload["grid"]) == 2
+    assert [s.split(":")[0] for s in payload["skipped"]] == ["spherical row skipped"]
+    assert "pivot search inconclusive for uqsl2-rot" in payload["skipped"][0]
 
 
 def test_check_modules_accept_expression_names(capsys):
@@ -204,6 +210,47 @@ def test_check_expr(capsys):
     code, _, err = run(capsys, "check", "--builtin", "group:Z2",
                        "--expr", "ev(H) ; nonsense(H)")
     assert code == 2 and "nonsense" in err
+
+
+README_LEFT_IDENTITY = ("id(triv)*ev(H)*id(H) ; lamL(triv,ld(H))*id(H,H) ; "
+                        "id(triv,ld(H))*cL ; id(triv)*coev(ld(H))*id(H)")
+
+
+@pytest.mark.parametrize("extra,option", [
+    (["--inject-fault", "0,0"], "--inject-fault"),
+    (["--no-split"], "--no-split"),
+    (["--side", "left"], "--side"),
+    (["--side", "all"], "--side"),
+    (["--modules", "trivial"], "--modules"),
+])
+def test_check_expr_refuses_grid_options(capsys, extra, option):
+    # --expr replaces the grid; a grid option beside it would be silently dropped,
+    # and with it the negative control of --inject-fault
+    code, out, err = run(capsys, "check", "--builtin", "group:Z2", "--expr",
+                         README_LEFT_IDENTITY, "--equals", "id(triv,H)", *extra)
+    assert code == 2 and f"input error: {option} applies to the grid" in err
+    assert out == ""
+
+
+def test_check_equals_needs_expr(capsys):
+    code, out, err = run(capsys, "check", "--builtin", "group:Z2", "--equals", "id(triv,H)")
+    assert code == 2 and "--equals needs --expr" in err and out == ""
+
+
+@pytest.mark.parametrize("module,argv,message", [
+    ("hopfchrom.chromatic", ["chromatic", "--builtin", "group:Z2", "--side", "left"],
+     "left chromatic map failed the intertwiner check"),
+    ("hopfchrom.hmod", ["check", "--builtin", "group:Z2", "--expr", "ev(H)"],
+     "ev(H) is not H-linear"),
+])
+def test_failed_intertwiner_check_is_a_verification_failure(capsys, monkeypatch,
+                                                            module, argv, message):
+    import importlib
+
+    monkeypatch.setattr(importlib.import_module(module), "is_h_linear", lambda mor: False)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and f"verification failure: {message}" in err
+    assert "Traceback" not in out + err
 
 
 def test_unknown_builtin_exit_2(capsys):
