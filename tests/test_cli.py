@@ -245,9 +245,7 @@ def test_check_equals_needs_expr(capsys):
 ])
 def test_failed_intertwiner_check_is_a_verification_failure(capsys, monkeypatch,
                                                             module, argv, message):
-    import importlib
-
-    monkeypatch.setattr(importlib.import_module(module), "is_h_linear", lambda mor: False)
+    monkeypatch.setattr(f"{module}.is_h_linear", lambda mor: False)
     code, out, err = run(capsys, *argv)
     assert code == 1 and f"verification failure: {message}" in err
     assert "Traceback" not in out + err
