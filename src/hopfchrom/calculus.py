@@ -325,7 +325,7 @@ class ExprEnv:
 
     def primitive(self, name: str, mods: list[HModule]) -> MorphismExpr:
         """The named primitive; an evaluation or Lambda-transformation is
-        checked H-linear here, a chromatic map by its builder."""
+        checked H-linear here, a chromatic map where it is built."""
         hm = self._hmod
         if name == "id":
             return Ident(tuple(mods))

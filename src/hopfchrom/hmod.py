@@ -13,7 +13,7 @@ Left duals act by ``transpose(rho(S(h)))``, right duals by
 Verification policy (here and in ``chromatic``): structure morphisms and the
 standard modules are built unchecked; every entry point for outside names or
 data always checks: ``module_make`` the action axioms, ``ExprEnv.primitive``
-the one morphism it returns, the chromatic builders, ``split_idempotent`` and
+the one morphism it returns, the chromatic constructors, ``split_idempotent`` and
 ``RetractFamily.make`` H-linearity.  The one switch is
 ``chromatic_retract(check)``, which the CLI turns off under an injected fault.
 """
