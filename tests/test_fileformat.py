@@ -122,3 +122,19 @@ def test_module_file_validation(h4):
     data["action"] = data["action"][1:]  # drop one entry: action axiom breaks
     with pytest.raises(ModuleAxiomError):
         module_from_dict(data)
+
+
+def test_module_action_entries_sum_and_cancel(h4):
+    from fractions import Fraction
+
+    from hopfchrom import module_from_dict, module_to_dict, regular_module
+
+    data = module_to_dict(regular_module(h4))
+    split = []
+    for h, r, c, s in data["action"]:  # s = (s + 1) + (-1)
+        split += [[h, r, c, str(Fraction(s) + 1)], [h, r, c, "-1"]]
+    assert [0, 0, 1, "1"] not in data["action"]
+    cancel = [[0, 0, 1, "2"], [0, 0, 1, "-3/2"], [0, 0, 1, "-1/2"]]
+    loaded = module_from_dict({**data, "action": cancel + split}, H=h4)
+    # the sums are the original entries, and the cancelled entry is not stored
+    assert module_to_dict(loaded)["action"] == data["action"]
