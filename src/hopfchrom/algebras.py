@@ -13,6 +13,7 @@ from itertools import permutations
 
 from .fields import Field, FieldError, primitive_root_of_unity
 from .hopf import HopfAlgebra, HopfDataError, hopf_make
+from .linalg import sparse_sum
 
 __all__ = [
     "GroupTable",
@@ -248,43 +249,28 @@ def small_quantum_sl2(n: int, field: Field, name: str | None = None) -> HopfAlge
     def idx(a, b, c):
         return (a * n + b) * n + c
 
-    def add_term(elem, key, coeff):
-        if coeff == zero:
-            return
-        cur = field.add(elem.get(key, zero), coeff)
-        if cur == zero:
-            elem.pop(key, None)
-        else:
-            elem[key] = cur
-
-    # left multiplication by the generators on a PBW monomial
+    # left multiplication by the generators on a PBW monomial; F and K send
+    # distinct monomials to distinct monomials, so their images need no sum
     def mul_F(elem):
-        out = {}
-        for (a, b, c), v in elem.items():
-            if a + 1 < n:
-                add_term(out, (a + 1, b, c), v)
-        return out
+        return {(a + 1, b, c): v for (a, b, c), v in elem.items() if a + 1 < n}
 
     def mul_K(elem):
-        out = {}
-        for (a, b, c), v in elem.items():
-            # K F^a = q^{-2a} F^a K
-            add_term(out, (a, (b + 1) % n, c), field.mul(v, qpow(-2 * a)))
-        return out
+        # K F^a = q^{-2a} F^a K
+        return {(a, (b + 1) % n, c): field.mul(v, qpow(-2 * a))
+                for (a, b, c), v in elem.items()}
 
     def mul_E(elem):
-        out = {}
-        for (a, b, c), v in elem.items():
-            # E F^a = F^a E + [a] F^{a-1} (q^{-(a-1)} K - q^{a-1} K^{-1})/lam
-            if c + 1 < n:
-                add_term(out, (a, b, c + 1), field.mul(v, qpow(-2 * b)))
-            if a > 0:
-                w = field.mul(v, qint(a))
-                add_term(out, (a - 1, (b + 1) % n, c),
-                         field.mul(w, qpow(-(a - 1))))
-                add_term(out, (a - 1, (b - 1) % n, c),
-                         field.neg(field.mul(w, qpow(a - 1))))
-        return out
+        def terms():
+            for (a, b, c), v in elem.items():
+                # E F^a = F^a E + [a] F^{a-1} (q^{-(a-1)} K - q^{a-1} K^{-1})/lam
+                if c + 1 < n:
+                    yield (a, b, c + 1), field.mul(v, qpow(-2 * b))
+                if a > 0:
+                    w = field.mul(v, qint(a))
+                    yield (a - 1, (b + 1) % n, c), field.mul(w, qpow(-(a - 1)))
+                    yield (a - 1, (b - 1) % n, c), field.neg(field.mul(w, qpow(a - 1)))
+
+        return sparse_sum(field, terms())
 
     def mul_monomial(mono, elem):
         a, b, c = mono
@@ -297,11 +283,8 @@ def small_quantum_sl2(n: int, field: Field, name: str | None = None) -> HopfAlge
         return elem
 
     def prod(x: dict, y: dict) -> dict:
-        out = {}
-        for mono, v in x.items():
-            for key, w in mul_monomial(mono, y).items():
-                add_term(out, key, field.mul(v, w))
-        return out
+        return sparse_sum(field, ((key, field.mul(v, w)) for mono, v in x.items()
+                                  for key, w in mul_monomial(mono, y).items()))
 
     monomials = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
     mult = [(idx(*m1), idx(*m2), idx(*key), v)
@@ -310,15 +293,15 @@ def small_quantum_sl2(n: int, field: Field, name: str | None = None) -> HopfAlge
 
     # coproduct: powers of Delta(F), Delta(K), Delta(E) in H ox H
     def prod_tensor(x: dict, y: dict) -> dict:
-        out = {}
-        for (l1, r1), v in x.items():
-            for (l2, r2), w in y.items():
-                vw = field.mul(v, w)
-                for kl, cl in mul_monomial(l1, {l2: one}).items():
-                    for kr, cr in mul_monomial(r1, {r2: one}).items():
-                        add_term(out, (kl, kr),
-                                 field.mul(vw, field.mul(cl, cr)))
-        return out
+        def terms():
+            for (l1, r1), v in x.items():
+                for (l2, r2), w in y.items():
+                    vw = field.mul(v, w)
+                    for kl, cl in mul_monomial(l1, {l2: one}).items():
+                        for kr, cr in mul_monomial(r1, {r2: one}).items():
+                            yield (kl, kr), field.mul(vw, field.mul(cl, cr))
+
+        return sparse_sum(field, terms())
 
     unit_t = {((0, 0, 0), (0, 0, 0)): one}
     dF = {((0, n - 1, 0), (1, 0, 0)): one, ((1, 0, 0), (0, 0, 0)): one}

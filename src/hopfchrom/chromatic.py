@@ -44,7 +44,7 @@ from .integrals import (
     is_unimodular,
     normalized_pair,
 )
-from .linalg import Matrix
+from .linalg import Matrix, sparse_sum
 
 __all__ = [
     "NotSphericalError",
@@ -81,16 +81,10 @@ def _sweedler_map(H: HopfAlgebra, legs: list, table: list[list], right: bool) ->
     f = H.field
     n = H.dim
     sx, sy = (1, n) if right else (n, 1)
-    entries: dict = {}
-    for y, terms in enumerate(legs):
-        for i, row, c in terms:
-            if c == f.zero:
-                continue
-            for x, v in enumerate(table[i]):
-                if v == f.zero:
-                    continue
-                key = (row, x * sx + y * sy)
-                entries[key] = f.add(entries.get(key, f.zero), f.mul(c, v))
+    entries = sparse_sum(f, (((row, x * sx + y * sy), f.mul(c, v))
+                             for y, terms in enumerate(legs)
+                             for i, row, c in terms if c != f.zero
+                             for x, v in enumerate(table[i]) if v != f.zero))
     return Matrix.from_entries(f, n * n, n * n, entries)
 
 

@@ -153,7 +153,7 @@ def module_from_dict(data: dict, H: HopfAlgebra | None = None):
     """Load a module; validates the action axioms.  Pass ``H`` to reuse an
     existing algebra instead of rebuilding the embedded one."""
     from .hmod import module_make
-    from .linalg import Matrix
+    from .linalg import Matrix, sparse_sum
 
     if not isinstance(data, dict):
         raise FileFormatError("module: top level must be a JSON object")
@@ -168,7 +168,7 @@ def module_from_dict(data: dict, H: HopfAlgebra | None = None):
     if H is None:
         H = algebra_from_dict(data["algebra"])
     field = H.field
-    entries = [dict() for _ in range(H.dim)]
+    terms = [[] for _ in range(H.dim)]
     for pos, item in enumerate(data["action"]):
         label = f"action[{pos}]"
         if not isinstance(item, list) or len(item) != 4:
@@ -178,8 +178,8 @@ def module_from_dict(data: dict, H: HopfAlgebra | None = None):
             if not isinstance(v, int) or not (0 <= v < bound):
                 raise FileFormatError(f"{label}: index {v!r} out of range 0..{bound - 1}")
         val = _parse_scalar(field, item[3], label)
-        entries[h][(r, c)] = field.add(entries[h].get((r, c), field.zero), val)
-    action = [Matrix.from_entries(field, dim, dim, e) for e in entries]
+        terms[h].append(((r, c), val))
+    action = [Matrix.from_entries(field, dim, dim, sparse_sum(field, t)) for t in terms]
     return module_make(H, action, data.get("label", "file-module"))
 
 

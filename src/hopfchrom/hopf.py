@@ -24,7 +24,7 @@ Tensor legs are flattened row-major and left-nested: ``(i, j) -> i*n + j``.
 from __future__ import annotations
 
 from .fields import Field
-from .linalg import Matrix, SingularMatrixError
+from .linalg import Matrix, SingularMatrixError, sparse_sum
 
 __all__ = [
     "HopfAlgebra",
@@ -180,16 +180,11 @@ class HopfAlgebra:
         if k < 0:
             raise HopfDataError("coproduct_iter needs k >= 0")
         f = self.field
-        zero = f.zero
-        cur = {(i,): x for i, x in enumerate(a) if x != zero}
+        cur = {(i,): x for i, x in enumerate(a) if x != f.zero}
         for _ in range(k):
-            nxt: dict = {}
-            for key, v in cur.items():
-                rest = key[1:]
-                for (p, q), c in self.comult[key[0]].items():
-                    nk = (p, q) + rest
-                    nxt[nk] = f.add(nxt.get(nk, zero), f.mul(v, c))
-            cur = {key: v for key, v in nxt.items() if v != zero}
+            cur = sparse_sum(f, (((p, q) + key[1:], f.mul(v, c))
+                                 for key, v in cur.items()
+                                 for (p, q), c in self.comult[key[0]].items()))
         return cur
 
     # -- antipode ------------------------------------------------------------
@@ -263,16 +258,17 @@ def _sparse_structure(field, dim: int, mult, comult, antipode):
     """The stored ``mult``, ``comult`` and antipode matrix, summed from term
     lists; every index must lie in ``0..dim-1``, and zero sums are dropped."""
 
-    def summed(terms, arity: int, what: str) -> dict:
-        acc: dict = {}
+    def checked(terms, arity: int, what: str):
         for *key, c in terms:
             key = tuple(key)
             if len(key) != arity or not all(isinstance(i, int) and 0 <= i < dim for i in key):
                 raise HopfDataError(f"{what} term {key + (c,)!r} needs {arity} "
                                     f"indices in 0..{dim - 1} and a value")
-            c = field.coerce(c)
-            acc[key] = field.add(acc[key], c) if key in acc else c
-        return {key: acc[key] for key in sorted(acc) if acc[key] != field.zero}
+            yield key, field.coerce(c)
+
+    def summed(terms, arity: int, what: str) -> dict:
+        acc = sparse_sum(field, checked(terms, arity, what))
+        return {key: acc[key] for key in sorted(acc)}
 
     sm = tuple(tuple({} for _ in range(dim)) for _ in range(dim))
     for (i, j, k), c in summed(mult, 3, "mult").items():
@@ -317,21 +313,21 @@ def _delta_products(field, mult, comult) -> Matrix:
     factors.
     """
     n = len(mult)
-    mul, add = field.mul, field.add
-    entries: dict = {}
-    for i, di in enumerate(comult):
-        for j, dj in enumerate(comult):
-            col = i * n + j
-            for (p, q), x in di.items():
-                for (r, s), y in dj.items():
-                    xy = mul(x, y)
-                    for a, u in mult[p][r].items():
-                        xyu = mul(xy, u)
-                        for b, v in mult[q][s].items():
-                            key = (a * n + b, col)
-                            t = mul(xyu, v)
-                            entries[key] = add(entries[key], t) if key in entries else t
-    return Matrix.from_entries(field, n * n, n * n, entries)
+    mul = field.mul
+
+    def terms():
+        for i, di in enumerate(comult):
+            for j, dj in enumerate(comult):
+                col = i * n + j
+                for (p, q), x in di.items():
+                    for (r, s), y in dj.items():
+                        xy = mul(x, y)
+                        for a, u in mult[p][r].items():
+                            xyu = mul(xy, u)
+                            for b, v in mult[q][s].items():
+                                yield (a * n + b, col), mul(xyu, v)
+
+    return Matrix.from_entries(field, n * n, n * n, sparse_sum(field, terms()))
 
 
 def _decode(flat: int, n: int, legs: int) -> tuple:

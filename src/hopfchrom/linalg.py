@@ -23,6 +23,7 @@ __all__ = [
     "SingularMatrixError",
     "NoSolutionError",
     "permutation_matrix",
+    "sparse_sum",
     "stacked_nullspace",
 ]
 
@@ -441,6 +442,18 @@ def stacked_nullspace(blocks: list[Matrix]) -> Matrix:
     """Nullspace of the blocks stacked row-wise: the common kernel."""
     rows = [dict(r) for b in blocks for r in b._rows]
     return Matrix(blocks[0].field, len(rows), blocks[0].ncols, rows).nullspace()
+
+
+def sparse_sum(field: Field, terms) -> dict:
+    """Sum ``(key, value)`` terms over repeated keys: ``{key: sum}`` in
+    first-seen key order, without the keys whose sum is zero.  A key's first
+    value is stored as given, so a key seen once costs no ``add``."""
+    add = field.add
+    acc: dict = {}
+    for key, v in terms:
+        acc[key] = add(acc[key], v) if key in acc else v
+    zero = field.zero
+    return {key: v for key, v in acc.items() if v != zero}
 
 
 def permutation_matrix(field: Field, images: list[int]) -> Matrix:

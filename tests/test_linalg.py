@@ -13,10 +13,11 @@ from hopfchrom import (
     SingularMatrixError,
     field_make,
 )
-from hopfchrom.linalg import permutation_matrix
+from hopfchrom.linalg import permutation_matrix, sparse_sum
 
 Q = field_make(FieldSpec("rationals"))
 F7 = field_make(FieldSpec("prime-field", p=7))
+C8 = field_make(FieldSpec("cyclotomic", n=8))
 
 
 def M(rows, field=Q):
@@ -220,3 +221,27 @@ def test_combination_rejects_mismatched_terms():
         Matrix.combination(Q, 2, 2, [(Q.one, Matrix.identity(Q, 3))])
     with pytest.raises(FieldMismatchError):
         Matrix.combination(Q, 2, 2, [(F7.one, Matrix.identity(F7, 2))])
+
+
+def _naive_sum(f, terms):
+    out = {}
+    for key, v in terms:
+        out[key] = f.add(out.get(key, f.zero), v)
+    return {key: v for key, v in out.items() if v != f.zero}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sparse_sum_matches_naive_dict_sum(data):
+    keys = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    for f in (Q, F7, C8):
+        # cyclotomic payloads from coefficient lists on 1, zeta, .., zeta^3
+        value = st.lists(small_entries, min_size=4, max_size=4) if f is C8 else small_entries
+        terms = [(data.draw(keys), f.coerce(data.draw(value)))
+                 for _ in range(data.draw(st.integers(0, 8)))]
+        if data.draw(st.booleans()):
+            # the negated terms, interleaved: every key cancels exactly to zero
+            terms = [t for key, v in terms for t in ((key, v), (key, f.neg(v)))]
+        got = sparse_sum(f, iter(terms))
+        want = _naive_sum(f, terms)
+        assert got == want and list(got) == list(want)
