@@ -21,6 +21,7 @@ Python's recursion limit, and no block or primitive built here has more than
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -265,29 +266,25 @@ class ExprEnv:
     data; cSph additionally needs a pivot.
     """
 
-    def __init__(self, H, data=None, pivot=None):
+    def __init__(self, H, data=None):
         from . import chromatic as _chromatic
         from . import hmod as _hmod
         from .integrals import normalized_pair
 
         self.H = H
         self.data = data or normalized_pair(H)
-        self._pivot = pivot
-        self._pivot_searched = pivot is not None
         self._hmod = _hmod
         self._chromatic = _chromatic
         self._modules: dict[str, HModule] = {}
 
-    @property
+    @functools.cached_property
     def pivot(self):
         """The chosen pivot, or None when H is not spherical; the search's
-        PivotSearchInconclusive propagates when it cannot decide."""
-        if not self._pivot_searched:
-            from .integrals import is_spherical_hmod
+        PivotSearchInconclusive propagates, on every access, when it cannot
+        decide."""
+        from .integrals import is_spherical_hmod
 
-            _, self._pivot = is_spherical_hmod(self.H, self.data)
-            self._pivot_searched = True
-        return self._pivot
+        return is_spherical_hmod(self.H, self.data)[1]
 
     def chromatic(self, side: str) -> Morphism:
         """The ``left``, ``right`` or ``spherical`` chromatic map based at H;
@@ -331,6 +328,8 @@ class ExprEnv:
             return Ident(tuple(mods))
         sides = {"cL": "left", "cR": "right", "cSph": "spherical"}
         if name in sides:
+            if mods:
+                raise ExprSyntaxError(f"{name} takes no module")
             return Prim(self.chromatic(sides[name]))
         evaluations = ("ev", "coev", "evt", "coevt")
         if name in evaluations:

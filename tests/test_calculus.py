@@ -130,6 +130,38 @@ def test_parse_expr_errors(z2):
     with pytest.raises(ExprSyntaxError) as err:
         parse_expr("cL(", env)
     assert "wanted a module name or ')'" in str(err.value)
+    for text, name in (("cL(triv,alpha)", "cL"), ("cR(H)", "cR"), ("cSph(triv)", "cSph")):
+        with pytest.raises(ExprSyntaxError, match=f"{name} takes no module"):
+            parse_expr(text, env)
+    assert evaluate(parse_expr("cL()", env)).matrix == evaluate(parse_expr("cL", env)).matrix
+
+
+def test_env_pivot_searches_once_and_an_inconclusive_search_raises_each_time(
+        z2, monkeypatch):
+    from hopfchrom import integrals
+    from hopfchrom.integrals import PivotSearchInconclusive
+
+    calls = []
+    real = integrals.is_spherical_hmod
+
+    def counted(H, data):
+        calls.append(H)
+        return real(H, data)
+
+    monkeypatch.setattr(integrals, "is_spherical_hmod", counted)
+    env = ExprEnv(z2)
+    assert env.pivot is env.pivot is not None and len(calls) == 1
+
+    def inconclusive(H, data):
+        calls.append(H)
+        raise PivotSearchInconclusive("undecided")
+
+    monkeypatch.setattr(integrals, "is_spherical_hmod", inconclusive)
+    env = ExprEnv(z2)
+    for _ in range(2):
+        with pytest.raises(PivotSearchInconclusive):
+            env.pivot
+    assert len(calls) == 3
 
 
 def test_evaluate_functoriality(h4):

@@ -211,6 +211,10 @@ def test_check_expr(capsys):
                        "--expr", "ev(H) ; nonsense(H)")
     assert code == 2 and "nonsense" in err
 
+    # a chromatic primitive is based at H and takes no module
+    code, out, err = run(capsys, "check", "--builtin", "group:Z2", "--expr", "cL(triv,alpha)")
+    assert code == 2 and "cL takes no module" in err and out == ""
+
 
 README_LEFT_IDENTITY = ("id(triv)*ev(H)*id(H) ; lamL(triv,ld(H))*id(H,H) ; "
                         "id(triv,ld(H))*cL ; id(triv)*coev(ld(H))*id(H)")
