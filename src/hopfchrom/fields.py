@@ -507,12 +507,17 @@ def primitive_root_of_unity(field: Field, n: int):
             return Fraction(-1)
         raise FieldError(f"Q has no primitive root of unity of order {n}")
     if isinstance(field, PrimeField):
-        if (field.p - 1) % n != 0:
-            raise FieldError(f"GF({field.p}) has no element of order {n}")
-        for a in range(1, field.p):
-            if check(a):
-                return a
-        raise FieldError(f"GF({field.p}) has no element of order {n}")
+        p = field.p
+        if (p - 1) % n != 0:
+            raise FieldError(f"GF({p}) has no element of order {n}")
+        # r = a^((p-1)/n) has order dividing n; once it is exactly n, its powers
+        # r^k with gcd(k, n) = 1 are all the elements of order n, so their least
+        # is the smallest residue of that order without scanning GF(p)
+        for a in range(2, p):
+            r = pow(a, (p - 1) // n, p)
+            if all(pow(r, k, p) != 1 for k in range(1, n)):
+                return min(pow(r, k, p) for k in range(1, n) if math.gcd(k, n) == 1)
+        raise FieldError(f"GF({p}) has no element of order {n}")
     if isinstance(field, CyclotomicField):
         m = field.n
         if m % n == 0:

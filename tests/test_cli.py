@@ -362,6 +362,12 @@ def run_child(*argv):
     return proc.returncode, proc.stderr
 
 
+def test_large_prime_field_needs_no_scan_of_gf_p():
+    # the root of order 2 is p - 1, the last residue a scan of GF(p) reaches
+    code, err = run_child("verify", "--builtin", "taft:2", "--field", "GF:1000000007")
+    assert code == 0, err
+
+
 @pytest.mark.parametrize("expr", ["(" * 400 + "id(H)" + ")" * 400,
                                   ";".join(["id(H)"] * 1200)])
 def test_deep_or_long_expr_is_an_input_error(expr):

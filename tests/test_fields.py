@@ -100,6 +100,13 @@ def test_primitive_root_order_checked_exhaustively(F7):
         q = primitive_root_of_unity(F7, n)
         assert F7.pow(q, n) == F7.one
         assert all(F7.pow(q, k) != F7.one for k in range(1, n))
+    # the smallest residue of exact order n, as a scan of GF(p) finds it
+    for p in (p for p in range(2, 400) if all(p % d for d in range(2, p))):
+        F = field_make(FieldSpec("prime-field", p=p))
+        for n in (n for n in range(1, 13) if (p - 1) % n == 0):
+            scan = next(a for a in range(1, p) if pow(a, n, p) == 1
+                        and all(pow(a, k, p) != 1 for k in range(1, n)))
+            assert primitive_root_of_unity(F, n) == scan, (p, n)
 
 
 # -- randomized field axioms ---------------------------------------------------
