@@ -262,17 +262,18 @@ class ExprEnv:
     """Resolves module names, chromatic maps and named primitives for one
     algebra; the CLI resolves ``--modules`` and ``--side`` here too.
 
-    Chromatic primitives (cL, cR, cSph) and lamL/lamR/alpha need integral
-    data; cSph additionally needs a pivot.
+    Chromatic primitives (cL, cR, cSph) and lamL/lamR/alpha need the integral
+    data of H, which is computed here first so its errors surface at
+    construction; cSph additionally needs a pivot.
     """
 
-    def __init__(self, H, data=None):
+    def __init__(self, H):
         from . import chromatic as _chromatic
         from . import hmod as _hmod
         from .integrals import normalized_pair
 
+        normalized_pair(H)
         self.H = H
-        self.data = data or normalized_pair(H)
         self._hmod = _hmod
         self._chromatic = _chromatic
         self._modules: dict[str, HModule] = {}
@@ -284,19 +285,19 @@ class ExprEnv:
         decide."""
         from .integrals import is_spherical_hmod
 
-        return is_spherical_hmod(self.H, self.data)[1]
+        return is_spherical_hmod(self.H)[1]
 
     def chromatic(self, side: str) -> Morphism:
         """The ``left``, ``right`` or ``spherical`` chromatic map based at H;
         NotSphericalError when a spherical one is asked of a non-spherical H."""
         ch = self._chromatic
         if side == "left":
-            return ch.chromatic_left_hopf(self.H, self.data)
+            return ch.chromatic_left_hopf(self.H)
         if side == "right":
-            return ch.chromatic_right_hopf(self.H, self.data)
+            return ch.chromatic_right_hopf(self.H)
         if self.pivot is None:
             raise ch.NotSphericalError(f"{self.H.name} is not spherical")
-        return ch.chromatic_spherical(self.H, self.data, self.pivot)
+        return ch.chromatic_spherical(self.H, self.pivot)
 
     def module(self, name: str) -> HModule:
         key = name
@@ -308,7 +309,7 @@ class ExprEnv:
         elif name in ("triv", "trivial", "1", "unit"):
             mod = hm.trivial_module(self.H)
         elif name == "alpha":
-            mod = hm.alpha_module(self.H, self.data)
+            mod = hm.alpha_module(self.H)
         else:
             raise ExprSyntaxError(f"unknown module {name!r}")
         self._modules[key] = mod
@@ -331,15 +332,17 @@ class ExprEnv:
             if mods:
                 raise ExprSyntaxError(f"{name} takes no module")
             return Prim(self.chromatic(sides[name]))
-        evaluations = ("ev", "coev", "evt", "coevt")
+        evaluations = {"ev": ("left", 0), "coev": ("left", 1),
+                       "evt": ("right", 0), "coevt": ("right", 1)}
         if name in evaluations:
             if len(mods) != 1:
                 raise ExprSyntaxError(f"{name} takes exactly one module")
-            mor = hm.evaluation_morphisms(mods[0])[evaluations.index(name)]
+            side, which = evaluations[name]
+            mor = hm.evaluation_morphisms(mods[0], side)[which]
         elif name in ("lamL", "lamR"):
             _check_word_dim(word_dim(mods), f"{name} word {word_label(tuple(mods))}")
             side = "left" if name == "lamL" else "right"
-            mor = hm.lambda_transform(self.H, self.data, tuple(mods), side)
+            mor = hm.lambda_transform(self.H, tuple(mods), side)
         else:
             raise ExprSyntaxError(f"unknown primitive {name!r}")
         if not hm.is_h_linear(mor):

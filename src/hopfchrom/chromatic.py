@@ -38,7 +38,6 @@ from .hmod import (
 )
 from .hopf import HopfAlgebra, pairing
 from .integrals import (
-    IntegralData,
     PivotData,
     _pivot_condition_failures,
     is_unimodular,
@@ -88,9 +87,9 @@ def _sweedler_map(H: HopfAlgebra, legs: list, table: list[list], right: bool) ->
     return Matrix.from_entries(f, n * n, n * n, entries)
 
 
-def chromatic_left_hopf(H: HopfAlgebra, data: IntegralData | None = None) -> Morphism:
+def chromatic_left_hopf(H: HopfAlgebra) -> Morphism:
     """Left chromatic map ldld(H) ox H -> alpha ox H ox H based at H for H."""
-    data = data or normalized_pair(H)
+    data = normalized_pair(H)
     f, n, alpha = H.field, H.dim, data.alpha
     legs = [[(y1, y3 * n + y4, f.mul(c, alpha[y2]))
              for (y1, y2, y3, y4), c in H.coproduct_iter(3, H.basis_vector(y)).items()]
@@ -98,21 +97,21 @@ def chromatic_left_hopf(H: HopfAlgebra, data: IntegralData | None = None) -> Mor
     table = _lambda_pair_table(H, data.right_integral)
     G = regular_module(H)
     Gll = dual_module(dual_module(G, "left"), "left")
-    mor = Morphism((Gll, G), (alpha_module(H, data), G, G),
+    mor = Morphism((Gll, G), (alpha_module(H), G, G),
                    _sweedler_map(H, legs, table, right=False))
     if not is_h_linear(mor):
         raise ModuleAxiomError("left chromatic map failed the intertwiner check")
     return mor
 
 
-def chromatic_right_hopf(H: HopfAlgebra, data: IntegralData | None = None) -> Morphism:
+def chromatic_right_hopf(H: HopfAlgebra) -> Morphism:
     """Right chromatic map H ox rdrd(H) -> H ox H ox alpha based at H for H.
 
     ``y ox e_x -> y_(1) ox y_(2) ox alpha(y_(3)) lambda(S(e_x) y_(4))``: the
     Sweedler contraction of the left map with its legs on the opposite side,
     built from H's own coproduct.
     """
-    data = data or normalized_pair(H)
+    data = normalized_pair(H)
     f, n, alpha = H.field, H.dim, data.alpha
     legs = [[(y4, y1 * n + y2, f.mul(c, alpha[y3]))
              for (y1, y2, y3, y4), c in H.coproduct_iter(3, H.basis_vector(y)).items()]
@@ -120,26 +119,23 @@ def chromatic_right_hopf(H: HopfAlgebra, data: IntegralData | None = None) -> Mo
     table = [list(col) for col in zip(*_lambda_pair_table(H, data.right_integral))]
     G = regular_module(H)
     Grr = dual_module(dual_module(G, "right"), "right")
-    mor = Morphism((G, Grr), (G, G, alpha_module(H, data)),
+    mor = Morphism((G, Grr), (G, G, alpha_module(H)),
                    _sweedler_map(H, legs, table, right=True))
     if not is_h_linear(mor):
         raise ModuleAxiomError("right chromatic map failed the intertwiner check")
     return mor
 
 
-def chromatic_spherical(H: HopfAlgebra, data: IntegralData | None = None,
-                        pivot: PivotData | None = None) -> Morphism:
+def chromatic_spherical(H: HopfAlgebra, pivot: PivotData | None = None) -> Morphism:
     """Spherical chromatic map x ox y -> lambda(S(y_(1)) g x) y_(2) ox y_(3)."""
-    data = data or normalized_pair(H)
-    if pivot is None or not is_unimodular(H, data) or \
-            _pivot_condition_failures(H, data, pivot.g):
+    if pivot is None or not is_unimodular(H) or _pivot_condition_failures(H, pivot.g):
         raise NotSphericalError(f"{H.name} is not spherical (or pivot invalid)")
     n = H.dim
     legs = [[(y1, y2 * n + y3, c)
              for (y1, y2, y3), c in H.coproduct_iter(2, H.basis_vector(y)).items()]
             for y in range(n)]
     # table[i][x] = lambda(S(e_i) g e_x)
-    table = _lambda_pair_table(H, data.right_integral,
+    table = _lambda_pair_table(H, normalized_pair(H).right_integral,
                                [H.multiply(pivot.g, H.basis_vector(x)) for x in range(n)])
     G = regular_module(H)
     mor = Morphism((G, G), (G, G), _sweedler_map(H, legs, table, right=False))
@@ -284,9 +280,8 @@ class ChromaticReport:
         }
 
 
-def verify_chromatic_identity(H: HopfAlgebra, data: IntegralData, c: Morphism,
-                              P: HModule, X: HModule, side: str,
-                              pivot: PivotData | None = None) -> ChromaticReport:
+def verify_chromatic_identity(H: HopfAlgebra, c: Morphism, P: HModule, X: HModule,
+                              side: str, pivot: PivotData | None = None) -> ChromaticReport:
     """Evaluate the defining composite for ``side`` and compare with the identity.
 
     G is the regular module (the projective generator).  ``c`` must be a
@@ -299,33 +294,33 @@ def verify_chromatic_identity(H: HopfAlgebra, data: IntegralData, c: Morphism,
     t0 = time.perf_counter()
     G = regular_module(H)
     if side == "left":
-        Gl = dual_module(G, "left")
-        _, coev_gl, _, _ = evaluation_morphisms(Gl)
-        ev_g, _, _, _ = evaluation_morphisms(G)
+        ev_g, _ = evaluation_morphisms(G, "left")
+        Gl = ev_g.source[0]
+        _, coev_gl = evaluation_morphisms(Gl, "left")
         expr = compose(
             tensor(identity((X,)), Prim(ev_g), identity((P,))),
-            tensor(Prim(lambda_transform(H, data, (X, Gl), "left")), identity((G, P))),
+            tensor(Prim(lambda_transform(H, (X, Gl), "left")), identity((G, P))),
             tensor(identity((X, Gl)), Prim(c)),
             tensor(identity((X,)), Prim(coev_gl), identity((P,))),
         )
     elif side == "right":
-        Gr = dual_module(G, "right")
-        _, _, _, coevt_gr = evaluation_morphisms(Gr)
-        _, _, evt_g, _ = evaluation_morphisms(G)
+        evt_g, _ = evaluation_morphisms(G, "right")
+        Gr = evt_g.source[1]
+        _, coevt_gr = evaluation_morphisms(Gr, "right")
         expr = compose(
             tensor(identity((P,)), Prim(evt_g), identity((X,))),
-            tensor(identity((P, G)), Prim(lambda_transform(H, data, (Gr, X), "right"))),
+            tensor(identity((P, G)), Prim(lambda_transform(H, (Gr, X), "right"))),
             tensor(Prim(c), identity((Gr, X))),
             tensor(identity((P,)), Prim(coevt_gr), identity((X,))),
         )
     elif side == "spherical":
         if pivot is None:
             raise NotSphericalError("spherical verification needs a pivot")
-        Gl = dual_module(G, "left")
-        ev_g, _, _, _ = evaluation_morphisms(G)
-        _, coevt_piv = pivotal_evaluation_morphisms(G, pivot.g, pivot.g_inverse)
+        ev_g, _ = evaluation_morphisms(G, "left")
+        Gl = ev_g.source[0]
+        _, coevt_piv = pivotal_evaluation_morphisms(G, pivot.g)
         # alpha is trivial on a unimodular H: Lambda^l as an endomorphism
-        lam = lambda_transform(H, data, (X, Gl), "left").matrix
+        lam = lambda_transform(H, (X, Gl), "left").matrix
         expr = compose(
             tensor(identity((X,)), Prim(ev_g), identity((P,))),
             tensor(Prim(Morphism((X, Gl), (X, Gl), lam)), Prim(c)),

@@ -155,11 +155,11 @@ def cmd_integrals(args) -> int:
     H = _load(args)
     data = normalized_pair(H)
     f = H.field
-    unimodular = is_unimodular(H, data)
+    unimodular = is_unimodular(H)
     pivots = None
     pivots_note = None
     try:
-        pivots = pivot_candidates(H, data)
+        pivots = pivot_candidates(H)
     except PivotSearchInconclusive as exc:
         pivots_note = str(exc)
     spherical = bool(unimodular and pivots)
@@ -259,7 +259,6 @@ def cmd_check(args) -> int:
     if args.expr is not None:
         return _check_expr(args, env)
 
-    data = env.data
     skipped = []
     if args.side not in (None, "all"):
         sides = [args.side]
@@ -312,7 +311,7 @@ def cmd_check(args) -> int:
             P = G if fam is None else fam.P
             for X in xmods:
                 rep = verify_chromatic_identity(
-                    H, data, c_map, P, X, side,
+                    H, c_map, P, X, side,
                     pivot=env.pivot if side == "spherical" else None)
                 reports.append(rep)
                 all_ok = all_ok and rep.equal

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .hopf import HopfAlgebra, HopfDataError
-from .integrals import IntegralData
+from .integrals import normalized_pair
 from .linalg import Matrix, stacked_nullspace
 
 __all__ = [
@@ -129,10 +129,11 @@ def trivial_module(H: HopfAlgebra) -> HModule:
     return HModule(H, 1, action, "triv")
 
 
-def alpha_module(H: HopfAlgebra, data: IntegralData) -> HModule:
+def alpha_module(H: HopfAlgebra) -> HModule:
     """The distinguished invertible object: k with h acting by alpha_H(h)."""
     f = H.field
-    action = [Matrix.from_rows(f, [[data.alpha[i]]]) for i in range(H.dim)]
+    alpha = normalized_pair(H).alpha
+    action = [Matrix.from_rows(f, [[alpha[i]]]) for i in range(H.dim)]
     return HModule(H, 1, action, "alpha")
 
 
@@ -256,37 +257,35 @@ def is_h_linear(mor: Morphism) -> bool:
     return True
 
 
-def evaluation_morphisms(M: HModule):
-    """(ev, coev, ev~, coev~) for M with its left and right duals.
+def evaluation_morphisms(M: HModule, side: str):
+    """(ev, coev) for M with its left dual, or (ev~, coev~) with its right dual.
 
-    ev : ldM ox M -> 1,  coev : 1 -> M ox ldM,
-    ev~: M ox rdM -> 1,  coev~: 1 -> rdM ox M;  all pairings are the
+    left : ev : ldM ox M -> 1,  coev : 1 -> M ox ldM;
+    right: ev~: M ox rdM -> 1,  coev~: 1 -> rdM ox M;  all pairings are the
     canonical ones ev(phi ox m) = phi(m) = ev~(m ox phi).
     """
     f = M.H.field
     d = M.dim
-    ld = dual_module(M, "left")
-    rd = dual_module(M, "right")
+    D = dual_module(M, side)
     pair_row = Matrix.from_entries(f, 1, d * d, {(0, i * d + i): f.one for i in range(d)})
     pair_col = pair_row.transpose()
-    ev = Morphism((ld, M), (), pair_row)
-    coev = Morphism((), (M, ld), pair_col)
-    evt = Morphism((M, rd), (), pair_row)
-    coevt = Morphism((), (rd, M), pair_col)
-    return ev, coev, evt, coevt
+    if side == "left":
+        return Morphism((D, M), (), pair_row), Morphism((), (M, D), pair_col)
+    return Morphism((M, D), (), pair_row), Morphism((), (D, M), pair_col)
 
 
-def pivotal_evaluation_morphisms(M: HModule, g: list, g_inv: list):
+def pivotal_evaluation_morphisms(M: HModule, g: list):
     """Pivot-twisted right (co)evaluations against the left dual.
 
     For a pivot g (S^2 = conj by g) the left dual also right-dualizes M via
-    ev~(m ox phi) = phi(g.m) and coev~ = sum_i e^i ox g^{-1} e_i.
+    ev~(m ox phi) = phi(g.m) and coev~ = sum_i e^i ox g^{-1} e_i, where
+    g^{-1} = S(g) because g is grouplike.
     """
     f = M.H.field
     d = M.dim
     ld = dual_module(M, "left")
     rho_g = M.act(g)
-    rho_ginv = M.act(g_inv)
+    rho_ginv = M.act(M.H.antipode_apply(g))
     # ev~(e_i ox e^j) = e^j(g e_i) = rho(g)[j][i]
     evt_entries = {(0, i * d + j): v for j, i, v in rho_g.nonzero_items()}
     # coev~ = sum_j e^j ox g^{-1} e_j
@@ -322,18 +321,19 @@ def hom_basis(M: HModule, N: HModule) -> list[Matrix]:
     return out
 
 
-def lambda_transform(H: HopfAlgebra, data: IntegralData, word, side: str) -> Morphism:
+def lambda_transform(H: HopfAlgebra, word, side: str) -> Morphism:
     """The natural transformation component at a tensor word.
 
     left : word ox alpha -> word, acting by S^{-1}(Lambda);
     right: alpha ox word -> word, acting by S(Lambda).
     """
     word = _as_word(word)
-    alpha = alpha_module(H, data)
+    alpha = alpha_module(H)
+    Lam = normalized_pair(H).left_cointegral
     if side == "left":
-        mat = word_element_action(H, word, H.antipode_inverse_apply(data.left_cointegral))
+        mat = word_element_action(H, word, H.antipode_inverse_apply(Lam))
         return Morphism(word + (alpha,), word, mat)
     if side == "right":
-        mat = word_element_action(H, word, H.antipode_apply(data.left_cointegral))
+        mat = word_element_action(H, word, H.antipode_apply(Lam))
         return Morphism((alpha,) + word, word, mat)
     raise ValueError(f"side must be left or right, got {side!r}")

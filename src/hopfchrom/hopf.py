@@ -90,6 +90,7 @@ class HopfAlgebra:
         self._antipode_inv = antipode_inv  # Matrix, from the axiom suite
         self.name = name
         self._antipode_sq = None
+        self._integral_data = None  # integrals.normalized_pair's verified result
         self._left_mult = [None] * dim
         self._right_mult = [None] * dim
 

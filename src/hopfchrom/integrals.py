@@ -49,9 +49,9 @@ class PivotSearchInconclusive(RuntimeError):
 
 @dataclass
 class IntegralData:
-    """Normalized integral package of one Hopf algebra."""
+    """Normalized integral package of one Hopf algebra, kept on it by
+    ``normalized_pair`` and shared by every caller, so read-only."""
 
-    H: HopfAlgebra
     left_cointegral: list      # Lambda in H,  h Lambda = eps(h) Lambda
     right_integral: list       # lambda in H*, lambda(h_(1)) h_(2) = lambda(h) 1
     alpha: list                # alpha_H in H*, Lambda S(h) = alpha_H(h) Lambda
@@ -60,10 +60,10 @@ class IntegralData:
 
 @dataclass
 class PivotData:
-    """A grouplike pivot g with S^2 = conj(g) and the unibalanced condition."""
+    """A grouplike pivot g with S^2 = conj(g) and the unibalanced condition;
+    its inverse is S(g)."""
 
     g: list
-    g_inverse: list
 
 
 def _eigen_space(H: HopfAlgebra, mult_matrix, chi: list) -> Matrix:
@@ -157,7 +157,13 @@ def _check_integral_invariants(H: HopfAlgebra, data: IntegralData):
 
 
 def normalized_pair(H: HopfAlgebra) -> IntegralData:
-    """Lambda, lambda with lambda(Lambda) = 1, plus alpha_H and a; verified."""
+    """Lambda, lambda with lambda(Lambda) = 1, plus alpha_H and a; verified.
+
+    Computed and verified once per algebra, then kept on ``H``: every consumer
+    derives the data from ``H`` through this call.
+    """
+    if H._integral_data is not None:
+        return H._integral_data
     f = H.field
     Lam = cointegral_space(H, "left").col_list(0)
     lam = integral_space(H, "right").col_list(0)
@@ -173,20 +179,20 @@ def normalized_pair(H: HopfAlgebra) -> IntegralData:
              for j in range(H.dim)]
     k = next(k for k, v in enumerate(lam) if v != f.zero)
     a = vec_scale(f, f.inv(lam[k]), _lambda_legs(H, lam, k)[1])
-    data = IntegralData(H, Lam, lam, alpha, a)
+    data = IntegralData(Lam, lam, alpha, a)
     _check_integral_invariants(H, data)
+    H._integral_data = data
     return data
 
 
-def is_unimodular(H: HopfAlgebra, data: IntegralData | None = None) -> bool:
+def is_unimodular(H: HopfAlgebra) -> bool:
     """True iff alpha_H equals the counit."""
-    data = data or normalized_pair(H)
-    return list(data.alpha) == list(H.counit)
+    return list(normalized_pair(H).alpha) == list(H.counit)
 
 
 # -- pivot search -------------------------------------------------------------
 
-def _pivot_condition_failures(H: HopfAlgebra, data: IntegralData, v: list) -> list[str]:
+def _pivot_condition_failures(H: HopfAlgebra, v: list) -> list[str]:
     """Which of the three pivot conditions fail (empty list = valid pivot)."""
     fails = []
     if not H.is_grouplike(v):
@@ -201,18 +207,18 @@ def _pivot_condition_failures(H: HopfAlgebra, data: IntegralData, v: list) -> li
         fails.append("conjugation")
     # lambda(h_(2)) h_(1) = lambda(h) g^2 for all h; normalized_pair verified
     # lambda(h_(2)) h_(1) = lambda(h) a and lambda != 0, so this is g^2 = a
-    if H.multiply(v, v) != data.distinguished_grouplike:
+    if H.multiply(v, v) != normalized_pair(H).distinguished_grouplike:
         fails.append("unibalanced")
     return fails
 
 
-def _is_pivot(H: HopfAlgebra, data: IntegralData, v: list) -> bool:
+def _is_pivot(H: HopfAlgebra, v: list) -> bool:
     """Whether ``v`` is a pivot.  eps(v) = 1 (one pairing) and v^2 = a (one
     product) are necessary, so only candidates passing both reach the full
     three-condition check."""
     return (H.counit_apply(v) == H.field.one
-            and H.multiply(v, v) == data.distinguished_grouplike
-            and not _pivot_condition_failures(H, data, v))
+            and H.multiply(v, v) == normalized_pair(H).distinguished_grouplike
+            and not _pivot_condition_failures(H, v))
 
 
 def _intertwiner_space(H: HopfAlgebra) -> Matrix:
@@ -336,7 +342,7 @@ def _grouplikes_on_plane(H: HopfAlgebra, u1: list, u2: list):
     return out, complete
 
 
-def pivot_candidates(H: HopfAlgebra, data: IntegralData | None = None):
+def pivot_candidates(H: HopfAlgebra):
     """All pivots found: grouplike g with S^2 = conj(g), unibalanced via lambda.
 
     The intertwiner space V of S^2(h) v = v h is searched completely when
@@ -349,7 +355,6 @@ def pivot_candidates(H: HopfAlgebra, data: IntegralData | None = None):
     PivotSearchInconclusive when the search was not exhaustive and nothing
     was found -- distinct from a definitive empty answer.
     """
-    data = data or normalized_pair(H)
     f = H.field
     V = _intertwiner_space(H)
     d = V.ncols
@@ -392,7 +397,7 @@ def pivot_candidates(H: HopfAlgebra, data: IntegralData | None = None):
         if key in seen:
             continue
         seen.add(key)
-        if _is_pivot(H, data, v):
+        if _is_pivot(H, v):
             found.append(v)
     if not found and not complete:
         raise PivotSearchInconclusive(
@@ -408,19 +413,18 @@ def pivot_candidates(H: HopfAlgebra, data: IntegralData | None = None):
         return (2, pos)
 
     found = [v for _, v in sorted((sort_key(p, v), v) for p, v in enumerate(found))]
-    return [PivotData(g=v, g_inverse=H.antipode_apply(v)) for v in found]
+    return [PivotData(g=v) for v in found]
 
 
-def is_spherical_hmod(H: HopfAlgebra, data: IntegralData | None = None):
+def is_spherical_hmod(H: HopfAlgebra):
     """(spherical?, chosen pivot): unimodular and unibalanced-pivotal.
 
     The chosen pivot is deterministic: the unit if valid, else the first
     valid basis vector, else the first remaining candidate.
     """
-    data = data or normalized_pair(H)
-    if not is_unimodular(H, data):
+    if not is_unimodular(H):
         return False, None
-    pivots = pivot_candidates(H, data)
+    pivots = pivot_candidates(H)
     if not pivots:
         return False, None
     return True, pivots[0]

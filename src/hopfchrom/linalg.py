@@ -154,9 +154,6 @@ class Matrix:
     def nnz(self) -> int:
         return sum(len(r) for r in self._rows)
 
-    def is_zero(self) -> bool:
-        return all(not r for r in self._rows)
-
     @property
     def shape(self):
         return (self.nrows, self.ncols)

@@ -144,8 +144,8 @@ def test_criterion_3_sweedler_ground_truth():
         assert d.right_integral == H.element({2: 1})   # lambda = x^*
         assert d.alpha[1] == Q.neg(Q.one)              # alpha(g) = -1
         assert d.distinguished_grouplike == H.basis_vector(1)  # a = g
-        assert not is_unimodular(H, d)
-        spherical, _ = is_spherical_hmod(H, d)
+        assert not is_unimodular(H)
+        spherical, _ = is_spherical_hmod(H)
         assert not spherical
 
 
@@ -160,24 +160,23 @@ def test_criterion_4_chromatic_identities():
     with criterion(4, "left/right/spherical chromatic identities", 60.0):
         slowest = 0.0
         for H in _build_corpus():
-            d = normalized_pair(H)
             G = regular_module(H)
             fam = _retract_family(H)
-            xmods = [trivial_module(H), regular_module(H), alpha_module(H, d)]
-            cl = chromatic_left_hopf(H, d)
-            cr = chromatic_right_hopf(H, d)
+            xmods = [trivial_module(H), regular_module(H), alpha_module(H)]
+            cl = chromatic_left_hopf(H)
+            cr = chromatic_right_hopf(H)
             cases = [(cl, G, "left"), (cr, G, "right"),
                      (chromatic_retract(H, cl, fam, "left"), fam.P, "left"),
                      (chromatic_retract(H, cr, fam, "right"), fam.P, "right")]
-            spherical, pivot = is_spherical_hmod(H, d)
+            spherical, pivot = is_spherical_hmod(H)
             if spherical:
-                cs = chromatic_spherical(H, d, pivot)
+                cs = chromatic_spherical(H, pivot)
                 cases += [(cs, G, "spherical"),
                           (chromatic_retract(H, cs, fam, "spherical"), fam.P,
                            "spherical")]
             for X in xmods:
                 for c, P, side in cases:
-                    rep = verify_chromatic_identity(H, d, c, P, X, side,
+                    rep = verify_chromatic_identity(H, c, P, X, side,
                                                     pivot=pivot)
                     assert rep.equal, (H.name, side, P.label, X.label)
                     slowest = max(slowest, rep.elapsed)
@@ -185,9 +184,8 @@ def test_criterion_4_chromatic_identities():
         # check the k[Z/2] map is the delta map entrywise
         Q = field_make(FieldSpec("rationals"))
         z2 = group_algebra(GroupTable.cyclic(2), Q, "group:Z2")
-        dz2 = normalized_pair(z2)
-        _, piv = is_spherical_hmod(z2, dz2)
-        c = chromatic_spherical(z2, dz2, piv)
+        _, piv = is_spherical_hmod(z2)
+        c = chromatic_spherical(z2, piv)
         for a in range(2):
             for b in range(2):
                 for h1 in range(2):
@@ -200,15 +198,14 @@ def test_criterion_4_chromatic_identities():
 def test_criterion_5_lambda_comparison_on_projectives():
     with criterion(5, "Lambda^l = Lambda^r on projectives (unimodular pivotal)", 2.0):
         for H in _build_corpus():
-            d = normalized_pair(H)
-            if not is_unimodular(H, d):
+            if not is_unimodular(H):
                 continue
-            spherical, _ = is_spherical_hmod(H, d)
+            spherical, _ = is_spherical_hmod(H)
             assert spherical, H.name  # all unimodular builtins are pivotal here
             fam = _retract_family(H)
             for P in (regular_module(H), fam.P):
-                left = lambda_transform(H, d, (P,), "left")
-                right = lambda_transform(H, d, (P,), "right")
+                left = lambda_transform(H, (P,), "left")
+                right = lambda_transform(H, (P,), "right")
                 assert left.matrix == right.matrix, (H.name, P.label)
 
 
@@ -266,19 +263,19 @@ def test_criterion_7_cop_dictionary():
             assert scale != f.zero
             assert vec_scale(f, f.inv(scale), lam_s) == dc.right_integral, H.name
             # right verification in H agrees with left verification in cop(H)
-            cr = chromatic_right_hopf(H, d)
-            cl_c = chromatic_left_hopf(Hc, dc)
+            cr = chromatic_right_hopf(H)
+            cl_c = chromatic_left_hopf(Hc)
             fam, fam_c = _retract_family(H), _retract_family(Hc)
             crp = chromatic_retract(H, cr, fam, "right")
             clp_c = chromatic_retract(Hc, cl_c, fam_c, "left")
             G, Gc = regular_module(H), regular_module(Hc)
-            xs = [trivial_module(H), regular_module(H), alpha_module(H, d)]
-            xs_c = [trivial_module(Hc), regular_module(Hc), alpha_module(Hc, dc)]
+            xs = [trivial_module(H), regular_module(H), alpha_module(H)]
+            xs_c = [trivial_module(Hc), regular_module(Hc), alpha_module(Hc)]
             for X, Xc in zip(xs, xs_c):
                 for (c1, P1), (c2, P2) in (((cr, G), (cl_c, Gc)),
                                            ((crp, fam.P), (clp_c, fam_c.P))):
-                    r1 = verify_chromatic_identity(H, d, c1, P1, X, "right")
-                    r2 = verify_chromatic_identity(Hc, dc, c2, P2, Xc, "left")
+                    r1 = verify_chromatic_identity(H, c1, P1, X, "right")
+                    r2 = verify_chromatic_identity(Hc, c2, P2, Xc, "left")
                     assert r1.equal and r2.equal, (H.name, X.label, P1.label)
 
 
@@ -294,12 +291,11 @@ def test_criterion_8_negative_controls():
         corpus = [group_algebra(GroupTable.cyclic(2), Q, "group:Z2"),
                   sweedler_h4(Q)]
         for H in corpus:
-            d = normalized_pair(H)
             G = regular_module(H)
-            xmods = [trivial_module(H), regular_module(H), alpha_module(H, d)]
-            for side, c in (("left", chromatic_left_hopf(H, d)),
-                            ("right", chromatic_right_hopf(H, d))):
-                assert verify_chromatic_identity(H, d, c, G, xmods[0], side).equal
+            xmods = [trivial_module(H), regular_module(H), alpha_module(H)]
+            for side, c in (("left", chromatic_left_hopf(H)),
+                            ("right", chromatic_right_hopf(H))):
+                assert verify_chromatic_identity(H, c, G, xmods[0], side).equal
                 n2 = c.matrix.nrows
                 for r in range(n2):
                     for cidx in range(n2):
@@ -307,40 +303,35 @@ def test_criterion_8_negative_controls():
                             H.field, n2, n2, {(r, cidx): H.field.one})
                         bad = Morphism(c.source, c.target, bumped)
                         rejected = not is_h_linear(bad) or any(
-                            not verify_chromatic_identity(H, d, bad, G, X,
+                            not verify_chromatic_identity(H, bad, G, X,
                                                           side).equal
                             for X in xmods)
                         assert rejected, (H.name, side, r, cidx)
                         if H.dim == 2:
                             rep = verify_chromatic_identity(
-                                H, d, bad, G, xmods[0], side)
+                                H, bad, G, xmods[0], side)
                             assert not rep.equal and rep.mismatch is not None
         # pivot candidates violating any of the three conditions are rejected
         z2 = corpus[0]
-        dz2 = normalized_pair(z2)
-        assert _pivot_condition_failures(z2, dz2, z2.element({0: 2})) != []
+        assert _pivot_condition_failures(z2, z2.element({0: 2})) != []
         h4 = corpus[1]
-        dh4 = normalized_pair(h4)
-        assert _pivot_condition_failures(h4, dh4, h4.basis_vector(1)) == \
+        assert _pivot_condition_failures(h4, h4.basis_vector(1)) == \
             ["unibalanced"]
-        assert pivot_candidates(h4, dh4) == []
+        assert pivot_candidates(h4) == []
         F7 = field_make(FieldSpec("prime-field", p=7))
         t3 = taft(3, F7)
-        dt3 = normalized_pair(t3)
-        assert "conjugation" in _pivot_condition_failures(t3, dt3,
-                                                          t3.basis_vector(3))
-        assert pivot_candidates(t3, dt3) == []
+        assert "conjugation" in _pivot_condition_failures(t3, t3.basis_vector(3))
+        assert pivot_candidates(t3) == []
 
 
 def test_criterion_9_lambda_naturality():
     with criterion(9, "naturality of Lambda^l/Lambda^r over Hom(H,H)", 5.0):
         for H in _build_corpus():
-            d = normalized_pair(H)
             G = regular_module(H)
             basis = hom_basis(G, G)
             assert len(basis) == H.dim, H.name
-            ll = lambda_transform(H, d, (G,), "left").matrix
-            rr = lambda_transform(H, d, (G,), "right").matrix
+            ll = lambda_transform(H, (G,), "left").matrix
+            rr = lambda_transform(H, (G,), "right").matrix
             for F in basis:
                 assert F @ ll == ll @ F, H.name
                 assert F @ rr == rr @ F, H.name

@@ -13,7 +13,6 @@ from hopfchrom import (
     MorphismTypeError,
     evaluate,
     morphisms_equal,
-    normalized_pair,
     parse_expr,
     regular_module,
     trivial_module,
@@ -25,7 +24,7 @@ from hopfchrom.hmod import dual_module, evaluation_morphisms, word_dim
 
 def test_zigzag_composite_is_identity(h4):
     reg = regular_module(h4)
-    ev, coev, _, _ = evaluation_morphisms(reg)
+    ev, coev = evaluation_morphisms(reg, "left")
     idm = identity((reg,))
     expr = compose(tensor(idm, Prim(ev)), tensor(Prim(coev), idm))
     got = evaluate(expr)
@@ -53,7 +52,7 @@ def test_type_mismatch_reports_words(h4, monkeypatch):
 
     # the well-typed right factor would be applied first if typing were lazy
     monkeypatch.setattr(Matrix, "kron_apply", no_arithmetic)
-    ev, coev, _, _ = evaluation_morphisms(reg)
+    ev, coev = evaluation_morphisms(reg, "left")
     expr = compose(tensor(identity((triv,)), Prim(ev)),
                    tensor(Prim(coev), identity((reg,))))
     with pytest.raises(MorphismTypeError) as err:
@@ -108,10 +107,9 @@ def test_parse_expr_chromatic_identity(z2):
 
 
 def test_parse_expr_primitive_matches_direct(h4):
-    d = normalized_pair(h4)
-    env = ExprEnv(h4, d)
+    env = ExprEnv(h4)
     got = evaluate(parse_expr("cL", env))
-    want = chromatic_left_hopf(h4, d)
+    want = chromatic_left_hopf(h4)
     assert got.matrix == want.matrix
 
 
@@ -144,15 +142,15 @@ def test_env_pivot_searches_once_and_an_inconclusive_search_raises_each_time(
     calls = []
     real = integrals.is_spherical_hmod
 
-    def counted(H, data):
+    def counted(H):
         calls.append(H)
-        return real(H, data)
+        return real(H)
 
     monkeypatch.setattr(integrals, "is_spherical_hmod", counted)
     env = ExprEnv(z2)
     assert env.pivot is env.pivot is not None and len(calls) == 1
 
-    def inconclusive(H, data):
+    def inconclusive(H):
         calls.append(H)
         raise PivotSearchInconclusive("undecided")
 
@@ -184,7 +182,7 @@ def test_parse_expr_right_identity_and_spherical(z2):
     assert morphisms_equal(evaluate(lhs), evaluate(rhs))
     from hopfchrom.chromatic import chromatic_spherical
     got = evaluate(parse_expr("cSph", env))
-    want = chromatic_spherical(z2, env.data, env.pivot)
+    want = chromatic_spherical(z2, env.pivot)
     assert got.matrix == want.matrix
 
 

@@ -18,7 +18,6 @@ from hopfchrom import (
     is_h_linear,
     lambda_transform,
     module_make,
-    normalized_pair,
     pivot_candidates,
     regular_module,
     split_idempotent,
@@ -37,9 +36,8 @@ def right_mult_idempotent(H):
     return Morphism((G,), (G,), H.element_right_mult(a))
 
 
-def test_left_map_z2_is_delta(z2, corpus_data):
-    _, d = corpus_data["group:Z2"]
-    c = chromatic_left_hopf(z2, d)
+def test_left_map_z2_is_delta(z2):
+    c = chromatic_left_hopf(z2)
     f = z2.field
     n = 2
     # c(e_a ox b) = delta_{a,b} (1 ox b ox b)
@@ -54,19 +52,18 @@ def test_left_map_z2_is_delta(z2, corpus_data):
 
 def test_left_map_h4_matches_direct_expansion(h4, corpus_data):
     _, d = corpus_data["sweedler"]
-    assert chromatic_left_hopf(h4, d).matrix == left_map_by_direct_expansion(h4, d)
+    assert chromatic_left_hopf(h4).matrix == left_map_by_direct_expansion(h4, d)
 
 
 def test_left_map_taft_matches_direct_expansion_and_is_linear(t3, corpus_data):
     _, d = corpus_data["taft:3"]
-    c = chromatic_left_hopf(t3, d)
+    c = chromatic_left_hopf(t3)
     assert c.matrix == left_map_by_direct_expansion(t3, d)
     assert is_h_linear(c)
 
 
-def test_right_map_z2_is_delta(z2, corpus_data):
-    _, d = corpus_data["group:Z2"]
-    c = chromatic_right_hopf(z2, d)
+def test_right_map_z2_is_delta(z2):
+    c = chromatic_right_hopf(z2)
     f = z2.field
     n = 2
     # c(b ox e_a) = delta_{a,b} (b ox b ox 1)
@@ -81,26 +78,24 @@ def test_right_map_z2_is_delta(z2, corpus_data):
 
 def test_right_map_agrees_with_printed_formula(corpus_data):
     for name, (H, d) in corpus_data.items():
-        assert chromatic_right_hopf(H, d).matrix == cop_transported_right_map(H), name
+        assert chromatic_right_hopf(H).matrix == cop_transported_right_map(H), name
 
 
 @pytest.mark.parametrize("name,spec", [("taft:4", "Cyc:8"), ("taft:5", "GF:11")])
 def test_right_map_matches_cop_transport_beyond_corpus(name, spec):
     H = _make_builtin(name, _parse_field(spec))
-    d = normalized_pair(H)
-    assert chromatic_right_hopf(H, d).matrix == cop_transported_right_map(H)
+    assert chromatic_right_hopf(H).matrix == cop_transported_right_map(H)
 
 
-def test_right_map_h_linear_h4(h4, corpus_data):
-    _, d = corpus_data["sweedler"]
-    assert is_h_linear(chromatic_right_hopf(h4, d))
+def test_right_map_h_linear_h4(h4):
+    assert is_h_linear(chromatic_right_hopf(h4))
 
 
 def test_spherical_maps_are_delta_for_group_algebras(corpus_data):
     for name in ("group:Z2", "group:Z3"):
         H, d = corpus_data[name]
-        pivot = pivot_candidates(H, d)[0]
-        c = chromatic_spherical(H, d, pivot)
+        pivot = pivot_candidates(H)[0]
+        c = chromatic_spherical(H, pivot)
         n = H.dim
         f = H.field
         for a in range(n):
@@ -111,11 +106,10 @@ def test_spherical_maps_are_delta_for_group_algebras(corpus_data):
                         assert c.matrix.entry(h1 * n + h2, a * n + b) == want
 
 
-def test_spherical_rejects_sweedler(h4, corpus_data):
-    _, d = corpus_data["sweedler"]
+def test_spherical_rejects_sweedler(h4):
     from hopfchrom import PivotData
     with pytest.raises(NotSphericalError):
-        chromatic_spherical(h4, d, PivotData(h4.unit_vector(), h4.unit_vector()))
+        chromatic_spherical(h4, PivotData(h4.unit_vector()))
 
 
 def test_split_idempotent_identity_and_zero(z2):
@@ -142,21 +136,19 @@ def test_split_idempotent_rejects_non_idempotent(z2):
         split_idempotent(Morphism((G,), (G,), two))
 
 
-def test_retract_identity_family_returns_map_unchanged(h4, corpus_data):
-    _, d = corpus_data["sweedler"]
+def test_retract_identity_family_returns_map_unchanged(h4):
     G = regular_module(h4)
     fam = RetractFamily.make(
         G, [(Morphism((G,), (G,), Matrix.identity(h4.field, 4)),
              Morphism((G,), (G,), Matrix.identity(h4.field, 4)))])
-    for side, base in (("left", chromatic_left_hopf(h4, d)),
-                       ("right", chromatic_right_hopf(h4, d))):
+    for side, base in (("left", chromatic_left_hopf(h4)),
+                       ("right", chromatic_right_hopf(h4))):
         ext = chromatic_retract(h4, base, fam, side)
         assert ext.matrix == base.matrix
 
 
-def test_retract_rejects_module_only_labelled_regular(h4, corpus_data):
+def test_retract_rejects_module_only_labelled_regular(h4):
     # four copies of triv, labelled "H": a module, but not the regular one
-    _, d = corpus_data["sweedler"]
     f = h4.field
     ident = Matrix.identity(f, 4)
     fake = module_make(h4, [ident.scale(e) for e in h4.counit], "H")
@@ -168,8 +160,8 @@ def test_retract_rejects_module_only_labelled_regular(h4, corpus_data):
     with pytest.raises(MorphismTypeError):
         RetractFamily.make(fake, maps)
     fam = RetractFamily(fake, tuple(maps))
-    for side, base in (("left", chromatic_left_hopf(h4, d)),
-                       ("right", chromatic_right_hopf(h4, d))):
+    for side, base in (("left", chromatic_left_hopf(h4)),
+                       ("right", chromatic_right_hopf(h4))):
         with pytest.raises(MorphismTypeError, match="cannot compose"):
             chromatic_retract(h4, base, fam, side, check=False)
 
@@ -188,8 +180,7 @@ def _double_regular(H):
     return module_make(H, action, "H+H")
 
 
-def test_retract_block_diagonal_on_double_regular(h4, corpus_data):
-    _, d = corpus_data["sweedler"]
+def test_retract_block_diagonal_on_double_regular(h4):
     f = h4.field
     n = 4
     G = regular_module(h4)
@@ -201,7 +192,7 @@ def test_retract_block_diagonal_on_double_regular(h4, corpus_data):
         f, 2 * n, n, {(r + blk * n, r): f.one for r in range(n)}))
         for blk in range(2)]
     fam = RetractFamily.make(Q, list(zip(proj, incl)))
-    c = chromatic_left_hopf(h4, d)
+    c = chromatic_left_hopf(h4)
     ext = chromatic_retract(h4, c, fam, "left")
     # block-diagonal in the P slot: rows (a,h,(s,p)), cols (x,(t,y))
     for (row, col, v) in ext.matrix.nonzero_items():
@@ -212,7 +203,7 @@ def test_retract_block_diagonal_on_double_regular(h4, corpus_data):
         assert s == t
         assert v == c.matrix.entry(ah * n + p, x * n + y)
     # and the extended map still satisfies the identity
-    rep = verify_chromatic_identity(h4, d, ext, Q, trivial_module(h4), "left")
+    rep = verify_chromatic_identity(h4, ext, Q, trivial_module(h4), "left")
     assert rep.equal
 
 
@@ -220,48 +211,64 @@ def test_verify_identity_full_grid_small(corpus_data):
     for name in ("group:Z2", "sweedler"):
         H, d = corpus_data[name]
         G = regular_module(H)
-        cl = chromatic_left_hopf(H, d)
-        cr = chromatic_right_hopf(H, d)
+        cl = chromatic_left_hopf(H)
+        cr = chromatic_right_hopf(H)
         fam = split_idempotent(right_mult_idempotent(H))
         clp = chromatic_retract(H, cl, fam, "left")
         crp = chromatic_retract(H, cr, fam, "right")
-        for X in (trivial_module(H), regular_module(H), alpha_module(H, d)):
+        for X in (trivial_module(H), regular_module(H), alpha_module(H)):
             for c, P, side in ((cl, G, "left"), (cr, G, "right"),
                                (clp, fam.P, "left"), (crp, fam.P, "right")):
-                rep = verify_chromatic_identity(H, d, c, P, X, side)
+                rep = verify_chromatic_identity(H, c, P, X, side)
                 assert rep.equal, (name, side, P.label, X.label)
 
 
-def test_verify_identity_negative_control(z2, corpus_data):
-    _, d = corpus_data["group:Z2"]
+def test_verify_identity_negative_control(z2):
     G = regular_module(z2)
-    c = chromatic_left_hopf(z2, d)
+    c = chromatic_left_hopf(z2)
     bumped = c.matrix + Matrix.from_entries(z2.field, 4, 4, {(0, 0): z2.field.one})
     bad = Morphism(c.source, c.target, bumped)
-    rep = verify_chromatic_identity(z2, d, bad, G, trivial_module(z2), "left")
+    rep = verify_chromatic_identity(z2, bad, G, trivial_module(z2), "left")
     assert not rep.equal
     assert rep.mismatch is not None and "row" in rep.mismatch
 
 
-def test_verify_identity_type_mismatch(z2, corpus_data):
-    _, d = corpus_data["group:Z2"]
+def test_verify_identity_type_mismatch(z2):
     G = regular_module(z2)
-    c = chromatic_right_hopf(z2, d)
+    c = chromatic_right_hopf(z2)
     with pytest.raises(MorphismTypeError):
-        verify_chromatic_identity(z2, d, c, G, trivial_module(z2), "left")
+        verify_chromatic_identity(z2, c, G, trivial_module(z2), "left")
 
 
-def test_spherical_identity_with_nonunit_pivot(z2, corpus_data):
+def test_spherical_identity_with_nonunit_pivot(z2):
     # both Z/2 pivots are valid; the non-unit one exercises the g-twists
-    _, d = corpus_data["group:Z2"]
-    pivots = pivot_candidates(z2, d)
+    pivots = pivot_candidates(z2)
     assert len(pivots) == 2
     G = regular_module(z2)
     for p in pivots:
-        c = chromatic_spherical(z2, d, p)
+        c = chromatic_spherical(z2, p)
         for X in (trivial_module(z2), regular_module(z2)):
-            rep = verify_chromatic_identity(z2, d, c, G, X, "spherical", pivot=p)
+            rep = verify_chromatic_identity(z2, c, G, X, "spherical", pivot=p)
             assert rep.equal, z2.format_vector(p.g)
+
+
+def test_spherical_rows_hold_for_every_corpus_pivot_given_g_alone(corpus):
+    # a pivot is its grouplike g; the pivotal coevaluation takes g^-1 = S(g)
+    from hopfchrom import PivotData, is_unimodular
+
+    checked = 0
+    for H in corpus:
+        if not is_unimodular(H):
+            continue
+        G = regular_module(H)
+        for p in pivot_candidates(H):
+            pivot = PivotData(p.g)
+            c = chromatic_spherical(H, pivot)
+            for X in (trivial_module(H), regular_module(H)):
+                rep = verify_chromatic_identity(H, c, G, X, "spherical", pivot=pivot)
+                assert rep.equal, (H.name, H.format_vector(p.g), X.label)
+                checked += 1
+    assert checked == 12  # six pivots of four unimodular algebras, two X each
 
 
 def test_lambda_left_equals_right_on_projectives_unimodular(corpus_data):
@@ -271,22 +278,21 @@ def test_lambda_left_equals_right_on_projectives_unimodular(corpus_data):
         G = regular_module(H)
         fam = split_idempotent(right_mult_idempotent(H))
         for P in (G, fam.P):
-            ll = lambda_transform(H, d, (P,), "left")
-            rr = lambda_transform(H, d, (P,), "right")
+            ll = lambda_transform(H, (P,), "left")
+            rr = lambda_transform(H, (P,), "right")
             assert ll.matrix == rr.matrix, (name, P.label)
 
 
 def test_right_verification_matches_left_in_cop(corpus_data):
     for name, (H, d) in corpus_data.items():
         Hc = H.cop()
-        dc = normalized_pair(Hc)
-        cr = chromatic_right_hopf(H, d)
-        cl_cop = chromatic_left_hopf(Hc, dc)
+        cr = chromatic_right_hopf(H)
+        cl_cop = chromatic_left_hopf(Hc)
         G, Gc = regular_module(H), regular_module(Hc)
         for Xmk, Xmk_c in ((trivial_module, trivial_module),
                            (regular_module, regular_module)):
-            r1 = verify_chromatic_identity(H, d, cr, G, Xmk(H), "right")
-            r2 = verify_chromatic_identity(Hc, dc, cl_cop, Gc, Xmk_c(Hc), "left")
+            r1 = verify_chromatic_identity(H, cr, G, Xmk(H), "right")
+            r2 = verify_chromatic_identity(Hc, cl_cop, Gc, Xmk_c(Hc), "left")
             assert r1.equal and r2.equal and r1.equal == r2.equal, name
 
 
@@ -295,14 +301,13 @@ def test_full_pipeline_over_cyclotomic_field():
 
     C3 = field_make(FieldSpec("cyclotomic", n=3))
     H = taft(3, C3)
-    d = normalized_pair(H)
-    assert chromatic_right_hopf(H, d).matrix == cop_transported_right_map(H)
+    assert chromatic_right_hopf(H).matrix == cop_transported_right_map(H)
     G = regular_module(H)
-    cl = chromatic_left_hopf(H, d)
-    cr = chromatic_right_hopf(H, d)
-    for X in (trivial_module(H), alpha_module(H, d), regular_module(H)):
-        assert verify_chromatic_identity(H, d, cl, G, X, "left").equal
-        assert verify_chromatic_identity(H, d, cr, G, X, "right").equal
+    cl = chromatic_left_hopf(H)
+    cr = chromatic_right_hopf(H)
+    for X in (trivial_module(H), alpha_module(H), regular_module(H)):
+        assert verify_chromatic_identity(H, cl, G, X, "left").equal
+        assert verify_chromatic_identity(H, cr, G, X, "right").equal
 
 
 def test_larger_taft_instances_out_of_corpus():
@@ -311,19 +316,17 @@ def test_larger_taft_instances_out_of_corpus():
     # dim 16 over Q(i): exact cyclotomic arithmetic through the whole pipeline
     C4 = field_make(FieldSpec("cyclotomic", n=4))
     H = taft(4, C4)
-    d = normalized_pair(H)
     G = regular_module(H)
-    cl = chromatic_left_hopf(H, d)
-    for X in (trivial_module(H), alpha_module(H, d)):
-        assert verify_chromatic_identity(H, d, cl, G, X, "left").equal
+    cl = chromatic_left_hopf(H)
+    for X in (trivial_module(H), alpha_module(H)):
+        assert verify_chromatic_identity(H, cl, G, X, "left").equal
 
     # dim 25 over GF(11), X = regular: 25^4-dimensional intermediate words
     F11 = field_make(FieldSpec("prime-field", p=11))
     H = taft(5, F11)
-    d = normalized_pair(H)
     G = regular_module(H)
-    cr = chromatic_right_hopf(H, d)
-    rep = verify_chromatic_identity(H, d, cr, G, regular_module(H), "right")
+    cr = chromatic_right_hopf(H)
+    rep = verify_chromatic_identity(H, cr, G, regular_module(H), "right")
     assert rep.equal
 
 
@@ -354,11 +357,10 @@ def test_check_composites_match_kronecker_reference(argv, sides, capsys, monkeyp
     assert len(seen) > len(grid)  # the grid rows plus the retract terms
 
 
-def test_evaluate_builds_no_kronecker_product(t3, corpus_data, monkeypatch):
-    _, d = corpus_data["taft:3"]
+def test_evaluate_builds_no_kronecker_product(t3, monkeypatch):
     G = regular_module(t3)
     fam = split_idempotent(right_mult_idempotent(t3))
-    maps = {"left": chromatic_left_hopf(t3, d), "right": chromatic_right_hopf(t3, d)}
+    maps = {"left": chromatic_left_hopf(t3), "right": chromatic_right_hopf(t3)}
     evaluate, kron = chromatic_mod.evaluate, Matrix.kron
     inside = []
     calls = {"inside": 0, "outside": 0, "evaluate": 0}
@@ -379,6 +381,6 @@ def test_evaluate_builds_no_kronecker_product(t3, corpus_data, monkeypatch):
     monkeypatch.setattr(Matrix, "kron", tracked_kron)
     for side, c in maps.items():
         for P, c_P in ((G, c), (fam.P, chromatic_retract(t3, c, fam, side))):
-            assert verify_chromatic_identity(t3, d, c_P, P, G, side).equal
+            assert verify_chromatic_identity(t3, c_P, P, G, side).equal
     assert calls["evaluate"] > 4 and calls["outside"] > 0
     assert calls["inside"] == 0

@@ -300,7 +300,7 @@ def test_check_builds_one_hopf_algebra(capsys, monkeypatch):
     import hopfchrom.hopf as hopf_module
     import hopfchrom.integrals as integrals_module
 
-    calls = {"hopf_make": 0, "normalized_pair": 0}
+    calls = {"hopf_make": 0, "_check_integral_invariants": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -308,7 +308,8 @@ def test_check_builds_one_hopf_algebra(capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for owner, name in ((hopf_module, "hopf_make"), (integrals_module, "normalized_pair")):
+    for owner, name in ((hopf_module, "hopf_make"),
+                        (integrals_module, "_check_integral_invariants")):
         orig = getattr(owner, name)
         wrapper = counted(name, orig)
         for modname, mod in list(sys.modules.items()):
@@ -323,8 +324,11 @@ def test_check_builds_one_hopf_algebra(capsys, monkeypatch):
     monkeypatch.setattr(hopf_module.HopfAlgebra, "cop", forbidden)
     code, out, _ = run(capsys, "check", "--builtin", "taft:3", "--field", "GF:7")
     assert code == 0 and "all identities hold" in out
-    assert calls == {"hopf_make": 1, "normalized_pair": 1}
-
+    assert calls == {"hopf_make": 1, "_check_integral_invariants": 1}
+    calls.update(hopf_make=0, _check_integral_invariants=0)
+    code, _, _ = run(capsys, "integrals", "--builtin", "taft:3", "--field", "GF:7")
+    assert code == 0
+    assert calls == {"hopf_make": 1, "_check_integral_invariants": 1}
 
 
 def test_check_inverts_the_antipode_once(capsys, monkeypatch):

@@ -93,14 +93,13 @@ def test_cyclotomic_roundtrip(tmp_path):
     assert any(s.startswith("[") for _, _, _, s in raw["mult"])
 
 
-def test_module_roundtrip(h4, corpus_data, tmp_path):
+def test_module_roundtrip(h4, tmp_path):
     from hopfchrom import (alpha_module, load_module, module_from_dict,
                            module_to_dict, regular_module, save_module,
                            tensor_module)
 
-    _, d = corpus_data["sweedler"]
     for M in (regular_module(h4),
-              tensor_module(regular_module(h4), alpha_module(h4, d))):
+              tensor_module(regular_module(h4), alpha_module(h4))):
         path = tmp_path / "module.json"
         save_module(M, str(path))
         loaded = load_module(str(path))

@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 
 from helpers import pivot_condition_failures_reference
@@ -84,50 +85,77 @@ def test_normalized_pair_h4(h4, Q):
     assert pairing(Q, d.right_integral, d.left_cointegral) == Q.one
 
 
+def test_normalized_pair_is_kept_once_per_algebra(h4):
+    assert normalized_pair(h4) is normalized_pair(h4)
+    # H^cop has the same product but other integrals: its own data, verified
+    hc = h4.cop()
+    dc = normalized_pair(hc)
+    assert dc is normalized_pair(hc) and dc is not normalized_pair(h4)
+    assert dc.right_integral != normalized_pair(h4).right_integral
+    integrals_module._check_integral_invariants(hc, dc)
+
+
+def test_only_the_invariant_check_takes_integral_data():
+    # every other function derives the data from H through normalized_pair
+    from hopfchrom import calculus, chromatic, hmod
+
+    takers = []
+    for mod in (integrals_module, hmod, calculus, chromatic):
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue  # imported from elsewhere
+            if inspect.isfunction(obj):
+                fns = [(name, obj)]
+            elif inspect.isclass(obj):
+                fns = [(f"{name}.{attr}", fn) for attr, fn in vars(obj).items()
+                       if inspect.isfunction(fn)]
+            else:
+                continue
+            for qual, fn in fns:
+                for p in inspect.signature(fn).parameters.values():
+                    if p.name == "data" or "IntegralData" in str(p.annotation):
+                        takers.append(f"{mod.__name__}.{qual}({p.name})")
+    assert takers == ["hopfchrom.integrals._check_integral_invariants(data)"]
+
+
 def test_unimodularity(corpus_data):
     expected = {"group:Z2": True, "group:Z3": True, "group:S3": True,
                 "dualgroup:Z2": True, "sweedler": False, "taft:3": False}
     for name, (H, d) in corpus_data.items():
-        assert is_unimodular(H, d) == expected[name], name
+        assert is_unimodular(H) == expected[name], name
 
 
 def test_pivot_candidates_z2(z2):
-    d = normalized_pair(z2)
-    cands = [p.g for p in pivot_candidates(z2, d)]
+    cands = [p.g for p in pivot_candidates(z2)]
     assert cands == [z2.basis_vector(0), z2.basis_vector(1)]  # both e and g
-    for p in pivot_candidates(z2, d):
-        assert z2.multiply(p.g, p.g_inverse) == z2.unit_vector()
+    for p in pivot_candidates(z2):
+        assert z2.multiply(p.g, z2.antipode_apply(p.g)) == z2.unit_vector()
 
 
 def test_pivot_candidates_h4_empty(h4):
-    assert pivot_candidates(h4, normalized_pair(h4)) == []
+    assert pivot_candidates(h4) == []
 
 
 def test_pivot_candidates_z3_unit(z3):
-    d = normalized_pair(z3)
-    cands = pivot_candidates(z3, d)
+    cands = pivot_candidates(z3)
     assert cands and cands[0].g == z3.unit_vector()
 
 
 def test_pivot_candidates_taft_empty(t3):
     # S^2 is conjugation by g^{-1}; that grouplike fails the unibalanced test
-    d = normalized_pair(t3)
-    assert pivot_candidates(t3, d) == []
+    assert pivot_candidates(t3) == []
     g_inv = t3.basis_vector(6)  # g^2 = g^{-1}
-    assert _pivot_condition_failures(t3, d, g_inv) == ["unibalanced"]
+    assert _pivot_condition_failures(t3, g_inv) == ["unibalanced"]
 
 
 def test_pivot_condition_rejection(z2, h4, t3):
-    dz2 = normalized_pair(z2)
     # scaling breaks grouplikeness
     bad = vec_scale(z2.field, Fraction(2), z2.unit_vector())
-    assert "grouplike" in _pivot_condition_failures(z2, dz2, bad)
-    dh4 = normalized_pair(h4)
+    assert "grouplike" in _pivot_condition_failures(z2, bad)
     # g in H4 is grouplike and conjugates S^2, but g^2 = 1 != a = g
-    assert _pivot_condition_failures(h4, dh4, h4.basis_vector(1)) == ["unibalanced"]
-    dt3 = normalized_pair(t3)
+    assert _pivot_condition_failures(h4, h4.basis_vector(1)) == ["unibalanced"]
     # g in Taft(3) fails the conjugation condition (the pivot side is g^{-1})
-    assert "conjugation" in _pivot_condition_failures(t3, dt3, t3.basis_vector(3))
+    assert "conjugation" in _pivot_condition_failures(t3, t3.basis_vector(3))
 
 
 def test_pivot_conditions_match_lambda_loop_reference(corpus_data, monkeypatch):
@@ -136,9 +164,9 @@ def test_pivot_conditions_match_lambda_loop_reference(corpus_data, monkeypatch):
     tested = []
     library = integrals_module._is_pivot
 
-    def recording(H, data, v):
-        verdict = library(H, data, v)
-        tested.append((H, data, v, verdict))
+    def recording(H, v):
+        verdict = library(H, v)
+        tested.append((H, normalized_pair(H), v, verdict))
         return verdict
 
     monkeypatch.setattr(integrals_module, "_is_pivot", recording)
@@ -147,19 +175,20 @@ def test_pivot_conditions_match_lambda_loop_reference(corpus_data, monkeypatch):
         H = _make_builtin(name, _parse_field("GF:7"))
         inputs[f"{name}/GF:7"] = (H, normalized_pair(H))
     for H, d in inputs.values():
-        pivot_candidates(H, d)
+        pivot_candidates(H)
     assert {(H.name, H.field.spec) for H, _, _, _ in tested} == \
         {(H.name, H.field.spec) for H, _ in inputs.values()}
     unibalanced_only = False
     for H, d, v, verdict in tested:
         reference = pivot_condition_failures_reference(H, d, v)
         assert verdict == (reference == []), (H.name, v)
-        assert _pivot_condition_failures(H, d, v) == reference, (H.name, v)
+        assert _pivot_condition_failures(H, v) == reference, (H.name, v)
         unibalanced_only |= reference == ["unibalanced"]
     assert unibalanced_only
 
 
-def _counted_pivot_search(H, d, monkeypatch):
+def _counted_pivot_search(H, monkeypatch):
+    normalized_pair(H)  # computed before counting: only the search is counted
     calls = {"multiply": 0, "apply": 0}
 
     def counted(name, fn):
@@ -170,7 +199,7 @@ def _counted_pivot_search(H, d, monkeypatch):
 
     monkeypatch.setattr(HopfAlgebra, "multiply", counted("multiply", HopfAlgebra.multiply))
     monkeypatch.setattr(Matrix, "apply", counted("apply", Matrix.apply))
-    pivots = pivot_candidates(H, d)
+    pivots = pivot_candidates(H)
     monkeypatch.undo()
     return pivots, calls
 
@@ -180,15 +209,14 @@ def test_pivot_search_builds_only_the_counit_slice(monkeypatch):
     # points; only the 7^3 with eps(v) = 1 are built, and only candidates
     # with eps(v) = 1 and v^2 = a reach the full three-condition check
     H = _make_builtin("uqsl2:3", _parse_field("GF:7"))
-    d = normalized_pair(H)
     assert _intertwiner_space(H).ncols == 4
-    pivots, calls = _counted_pivot_search(H, d, monkeypatch)
+    pivots, calls = _counted_pivot_search(H, monkeypatch)
     assert [p.g for p in pivots] == [H.basis_vector(H.basis_names.index("K"))]
     assert calls["multiply"] <= 1000, calls
     assert calls["apply"] <= 400, calls
     S3 = _make_builtin("group:S3", _parse_field("GF:7"))
     assert _intertwiner_space(S3).ncols == 3
-    pivots, _ = _counted_pivot_search(S3, normalized_pair(S3), monkeypatch)
+    pivots, _ = _counted_pivot_search(S3, monkeypatch)
     assert [S3.format_vector(p.g) for p in pivots] == [["1", "0", "0", "0", "0", "0"]]
 
 
@@ -196,24 +224,23 @@ def test_pivot_search_is_exhaustive_when_the_counit_slice_fits(monkeypatch):
     # dualgroup:S3 over GF(7): dim V = 6, 7^6 points but a slice of 7^5; the
     # complete search finds the sign character beside the unit
     DS3 = _make_builtin("dualgroup:S3", _parse_field("GF:7"))
-    pivots = pivot_candidates(DS3, normalized_pair(DS3))
+    pivots = pivot_candidates(DS3)
     assert [DS3.format_vector(p.g) for p in pivots] == [
         ["1"] * 6, ["1", "6", "6", "1", "1", "6"]]
     # uqsl2:3 over GF(13): 13^4 = 28,561 points exceed the limit of 20,000,
     # the slice of 13^3 does not; with every candidate rejected the complete
     # search answers [] instead of raising PivotSearchInconclusive
     H = _make_builtin("uqsl2:3", _parse_field("GF:13"))
-    d = normalized_pair(H)
     assert _intertwiner_space(H).ncols == 4
-    monkeypatch.setattr(integrals_module, "_is_pivot", lambda H, data, v: False)
-    assert pivot_candidates(H, d) == []
+    monkeypatch.setattr(integrals_module, "_is_pivot", lambda H, v: False)
+    assert pivot_candidates(H) == []
 
 
 def test_is_spherical(corpus_data):
     expected = {"group:Z2": True, "group:Z3": True, "group:S3": True,
                 "dualgroup:Z2": True, "sweedler": False, "taft:3": False}
     for name, (H, d) in corpus_data.items():
-        spherical, pivot = is_spherical_hmod(H, d)
+        spherical, pivot = is_spherical_hmod(H)
         assert spherical == expected[name], name
         if spherical:
             assert pivot.g == H.unit_vector()  # unit preferred everywhere here
@@ -297,7 +324,7 @@ def test_pivot_search_inconclusive_is_distinct():
     # that complete searches do not raise.
     Q = field_make(FieldSpec("rationals"))
     H = group_algebra(GroupTable.cyclic(5), Q, "group:Z5")
-    cands = pivot_candidates(H, normalized_pair(H))
+    cands = pivot_candidates(H)
     assert cands and cands[0].g == H.unit_vector()
     assert issubclass(PivotSearchInconclusive, RuntimeError)
 
@@ -306,8 +333,8 @@ def test_dual_group_algebra_integrals(dz2, Q):
     d = normalized_pair(dz2)
     # cointegral of functions on Z/2 is the delta at the identity
     assert d.left_cointegral == dz2.basis_vector(0)
-    assert is_unimodular(dz2, d)
-    cands = pivot_candidates(dz2, d)
+    assert is_unimodular(dz2)
+    cands = pivot_candidates(dz2)
     assert [p.g for p in cands] == [dz2.unit_vector(), dz2.element({0: 1, 1: -1})]
 
 
@@ -348,7 +375,7 @@ def test_plane_search_pivots_over_q_and_gf7():
         assert V.ncols == 2, (name, spec)
         vecs, complete = _grouplikes_on_plane(H, V.col_list(0), V.col_list(1))
         assert complete and vecs == [H.element(v) for v in plane], (name, spec)
-        got = [H.format_vector(p.g) for p in pivot_candidates(H, normalized_pair(H))]
+        got = [H.format_vector(p.g) for p in pivot_candidates(H)]
         assert got == pivots, (name, spec)
 
 

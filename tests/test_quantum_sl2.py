@@ -46,7 +46,7 @@ def test_dimensions_and_pbw_names(uq):
 def test_integral_package(uq):
     H, d = uq
     f = H.field
-    assert is_unimodular(H, d)
+    assert is_unimodular(H)
     # Lambda is supported on F^2 K^b E^2, a = K^2
     for i, v in enumerate(d.left_cointegral):
         if v != f.zero:
@@ -58,41 +58,41 @@ def test_integral_package(uq):
 def test_pivot_is_K(uq):
     H, d = uq
     K = H.basis_names.index("K")
-    cands = pivot_candidates(H, d)
+    cands = pivot_candidates(H)
     assert [p.g for p in cands] == [H.basis_vector(K)]
     # S^2 is a nontrivial automorphism: conjugation by K
     S2 = H.antipode @ H.antipode
     E = H.basis_names.index("E")
     assert S2.col_list(E) != H.basis_vector(E)
-    spherical, pivot = is_spherical_hmod(H, d)
+    spherical, pivot = is_spherical_hmod(H)
     assert spherical and pivot.g == H.basis_vector(K)
 
 
 def test_left_right_identities_small_x(uq):
     H, d = uq
     G = regular_module(H)
-    cl = chromatic_left_hopf(H, d)
-    cr = chromatic_right_hopf(H, d)
+    cl = chromatic_left_hopf(H)
+    cr = chromatic_right_hopf(H)
     assert cr.matrix == cop_transported_right_map(H)
-    for X in (trivial_module(H), alpha_module(H, d)):
-        assert verify_chromatic_identity(H, d, cl, G, X, "left").equal
-        assert verify_chromatic_identity(H, d, cr, G, X, "right").equal
+    for X in (trivial_module(H), alpha_module(H)):
+        assert verify_chromatic_identity(H, cl, G, X, "left").equal
+        assert verify_chromatic_identity(H, cr, G, X, "right").equal
 
 
 def test_spherical_identity_with_nontrivial_pivot(uq):
     H, d = uq
-    _, pivot = is_spherical_hmod(H, d)
+    _, pivot = is_spherical_hmod(H)
     G = regular_module(H)
-    cs = chromatic_spherical(H, d, pivot)  # intertwiner check included
-    for X in (trivial_module(H), alpha_module(H, d), regular_module(H)):
-        rep = verify_chromatic_identity(H, d, cs, G, X, "spherical", pivot=pivot)
+    cs = chromatic_spherical(H, pivot)  # intertwiner check included
+    for X in (trivial_module(H), alpha_module(H), regular_module(H)):
+        rep = verify_chromatic_identity(H, cs, G, X, "spherical", pivot=pivot)
         assert rep.equal, X.label
     # and on an idempotent summand
     a = find_nontrivial_idempotent(H)
     fam = split_idempotent(Morphism((G,), (G,), H.element_right_mult(a)))
     assert fam.P.dim == 9
     csp = chromatic_retract(H, cs, fam, "spherical")
-    rep = verify_chromatic_identity(H, d, csp, fam.P, trivial_module(H),
+    rep = verify_chromatic_identity(H, csp, fam.P, trivial_module(H),
                                     "spherical", pivot=pivot)
     assert rep.equal
 
@@ -100,8 +100,8 @@ def test_spherical_identity_with_nontrivial_pivot(uq):
 def test_lambda_comparison_on_projectives(uq):
     H, d = uq
     G = regular_module(H)
-    left = lambda_transform(H, d, (G,), "left")
-    right = lambda_transform(H, d, (G,), "right")
+    left = lambda_transform(H, (G,), "left")
+    right = lambda_transform(H, (G,), "right")
     assert left.matrix == right.matrix
 
 
