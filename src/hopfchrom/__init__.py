@@ -78,6 +78,7 @@ from .calculus import (
     tensor,
 )
 from .chromatic import (
+    ChromaticMap,
     ChromaticReport,
     NotSphericalError,
     RetractFamily,

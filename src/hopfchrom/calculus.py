@@ -29,6 +29,7 @@ from .hmod import (
     HModule,
     Morphism,
     MorphismTypeError,
+    dual_module,
     word_dim,
     word_label,
     words_match,
@@ -315,12 +316,6 @@ class ExprEnv:
         self._modules[key] = mod
         return mod
 
-    def dual(self, mod: HModule, side: str) -> HModule:
-        key = f"{'ld' if side == 'left' else 'rd'}({mod.label})"
-        if key not in self._modules:
-            self._modules[key] = self._hmod.dual_module(mod, side)
-        return self._modules[key]
-
     def primitive(self, name: str, mods: list[HModule]) -> MorphismExpr:
         """The named primitive; an evaluation or Lambda-transformation is
         checked H-linear here, a chromatic map where it is built."""
@@ -416,7 +411,7 @@ class _Parser:
             self.eat("(")
             inner = self.module_expr()
             self.eat(")")
-            return self.env.dual(inner, "left" if name == "ld" else "right")
+            return dual_module(inner, "left" if name == "ld" else "right")
         return self.env.module(name)
 
 

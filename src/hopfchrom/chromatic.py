@@ -5,14 +5,14 @@ The left map, based at the regular module for itself, sends
 map is the same contraction with the legs on the opposite side,
 ``y ox e_x -> y_(1) ox y_(2) ox alpha_H(y_(3)) lambda(S(x) y_(4))``, and the
 spherical map contracts lambda against ``g x`` on ``Delta^2(y)``.  All three
-are filled by one loop (``_sweedler_map``) from H's own coproduct.  Each
-extends to any projective P through a retract family {f_i: P -> H,
-g_i: H -> P} with sum g_i f_i = id_P, produced here by splitting H-linear
-idempotents.
+are filled by one loop (``_sweedler_map``) from H's own coproduct into a
+``ChromaticMap``, a Morphism that carries its side (and pivot).  Each extends,
+keeping both, to any projective P through a retract family {f_i: P -> H,
+g_i: H -> P} with sum g_i f_i = id_P, produced by splitting idempotents.
 
-``verify_chromatic_identity`` evaluates the defining composite with the
-morphism calculus, on every column of its source word, and compares it with
-the identity, entry by entry.
+``verify_chromatic_identity(c, X)`` takes H, side, pivot and P from c, evaluates
+the defining composite with the morphism calculus, on every column of its
+source word, and compares it with the identity, entry by entry.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .linalg import Matrix, sparse_sum
 
 __all__ = [
     "NotSphericalError",
+    "ChromaticMap",
     "RetractFamily",
     "ChromaticReport",
     "chromatic_left_hopf",
@@ -60,6 +61,24 @@ __all__ = [
 
 class NotSphericalError(ValueError):
     """Spherical chromatic data requested for a non-spherical algebra."""
+
+
+@dataclass(repr=False)
+class ChromaticMap(Morphism):
+    """A chromatic map based at the last leg of its words (``left``,
+    ``spherical``) or at the first (``right``); a spherical map carries the
+    pivot its identity twists by, the others none."""
+
+    side: str
+    pivot: PivotData | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.side not in ("left", "right", "spherical"):
+            raise ValueError(f"side must be left, right or spherical, got {self.side!r}")
+        if (self.pivot is None) == (self.side == "spherical"):
+            raise ValueError(f"a {self.side} chromatic map "
+                             f"{'needs a' if self.pivot is None else 'takes no'} pivot")
 
 
 def _lambda_pair_table(H: HopfAlgebra, lam: list, rs: list | None = None) -> list[list]:
@@ -87,7 +106,13 @@ def _sweedler_map(H: HopfAlgebra, legs: list, table: list[list], right: bool) ->
     return Matrix.from_entries(f, n * n, n * n, entries)
 
 
-def chromatic_left_hopf(H: HopfAlgebra) -> Morphism:
+def _checked(c: ChromaticMap) -> ChromaticMap:
+    if not is_h_linear(c):
+        raise ModuleAxiomError(f"{c.side} chromatic map failed the intertwiner check")
+    return c
+
+
+def chromatic_left_hopf(H: HopfAlgebra) -> ChromaticMap:
     """Left chromatic map ldld(H) ox H -> alpha ox H ox H based at H for H."""
     data = normalized_pair(H)
     f, n, alpha = H.field, H.dim, data.alpha
@@ -97,14 +122,11 @@ def chromatic_left_hopf(H: HopfAlgebra) -> Morphism:
     table = _lambda_pair_table(H, data.right_integral)
     G = regular_module(H)
     Gll = dual_module(dual_module(G, "left"), "left")
-    mor = Morphism((Gll, G), (alpha_module(H), G, G),
-                   _sweedler_map(H, legs, table, right=False))
-    if not is_h_linear(mor):
-        raise ModuleAxiomError("left chromatic map failed the intertwiner check")
-    return mor
+    return _checked(ChromaticMap((Gll, G), (alpha_module(H), G, G),
+                                 _sweedler_map(H, legs, table, right=False), "left"))
 
 
-def chromatic_right_hopf(H: HopfAlgebra) -> Morphism:
+def chromatic_right_hopf(H: HopfAlgebra) -> ChromaticMap:
     """Right chromatic map H ox rdrd(H) -> H ox H ox alpha based at H for H.
 
     ``y ox e_x -> y_(1) ox y_(2) ox alpha(y_(3)) lambda(S(e_x) y_(4))``: the
@@ -119,14 +141,11 @@ def chromatic_right_hopf(H: HopfAlgebra) -> Morphism:
     table = [list(col) for col in zip(*_lambda_pair_table(H, data.right_integral))]
     G = regular_module(H)
     Grr = dual_module(dual_module(G, "right"), "right")
-    mor = Morphism((G, Grr), (G, G, alpha_module(H)),
-                   _sweedler_map(H, legs, table, right=True))
-    if not is_h_linear(mor):
-        raise ModuleAxiomError("right chromatic map failed the intertwiner check")
-    return mor
+    return _checked(ChromaticMap((G, Grr), (G, G, alpha_module(H)),
+                                 _sweedler_map(H, legs, table, right=True), "right"))
 
 
-def chromatic_spherical(H: HopfAlgebra, pivot: PivotData | None = None) -> Morphism:
+def chromatic_spherical(H: HopfAlgebra, pivot: PivotData | None = None) -> ChromaticMap:
     """Spherical chromatic map x ox y -> lambda(S(y_(1)) g x) y_(2) ox y_(3)."""
     if pivot is None or not is_unimodular(H) or _pivot_condition_failures(H, pivot.g):
         raise NotSphericalError(f"{H.name} is not spherical (or pivot invalid)")
@@ -138,10 +157,9 @@ def chromatic_spherical(H: HopfAlgebra, pivot: PivotData | None = None) -> Morph
     table = _lambda_pair_table(H, normalized_pair(H).right_integral,
                                [H.multiply(pivot.g, H.basis_vector(x)) for x in range(n)])
     G = regular_module(H)
-    mor = Morphism((G, G), (G, G), _sweedler_map(H, legs, table, right=False))
-    if not is_h_linear(mor):
-        raise ModuleAxiomError("spherical chromatic map failed the intertwiner check")
-    return mor
+    return _checked(ChromaticMap((G, G), (G, G),
+                                 _sweedler_map(H, legs, table, right=False),
+                                 "spherical", pivot))
 
 
 @dataclass
@@ -174,18 +192,7 @@ class RetractFamily:
             raise ModuleAxiomError("retract family does not sum to id_P")
 
 
-def _submatrix(mat: Matrix, row_range, col_range) -> Matrix:
-    r0, r1 = row_range
-    c0, c1 = col_range
-    entries = {}
-    for i in range(r0, r1):
-        for j, v in mat._rows[i].items():
-            if c0 <= j < c1:
-                entries[(i - r0, j - c0)] = v
-    return Matrix.from_entries(mat.field, r1 - r0, c1 - c0, entries)
-
-
-def split_idempotent(e: Morphism, label: str | None = None) -> RetractFamily:
+def split_idempotent(e: Morphism) -> RetractFamily:
     """Split an H-linear idempotent on a direct sum of regular modules.
 
     The source must be a single module whose coordinates are consecutive
@@ -204,54 +211,49 @@ def split_idempotent(e: Morphism, label: str | None = None) -> RetractFamily:
     if not is_h_linear(e):
         raise ModuleAxiomError("idempotent is not H-linear")
     f = H.field
+    label = f"split({Q.label})"
     _, rank, pivots = e.matrix.rref()
-    B = Matrix.from_columns(f, [e.matrix.col_list(j) for j in pivots]) \
-        if rank else Matrix.zeros(f, Q.dim, 0)
-    # the image is H-stable; transport the action along the basis B
-    actions = []
-    for k in range(H.dim):
-        if rank:
-            actions.append(B.solve_matrix(Q.action[k] @ B))
-        else:
-            actions.append(Matrix.zeros(f, 0, 0))
-    P = HModule(H, rank, actions, label or f"split({Q.label})")
     if rank == 0:
-        return RetractFamily.make(P, [])
+        return RetractFamily.make(HModule(H, 0, [Matrix.zeros(f, 0, 0)] * n, label), [])
+    B = Matrix.from_columns(f, [e.matrix.col_list(j) for j in pivots])
+    # the image is H-stable; transport the action along the basis B
+    P = HModule(H, rank, [B.solve_matrix(a @ B) for a in Q.action], label)
     G = regular_module(H)
     coords = B.solve_matrix(e.matrix)  # rank x Q.dim with coords(e v) = B-coefficients
     maps = []
-    for blk in range(Q.dim // n):
-        fi = Morphism((P,), (G,), _submatrix(B, (blk * n, (blk + 1) * n), (0, rank)))
-        gi = Morphism((G,), (P,), _submatrix(coords, (0, rank), (blk * n, (blk + 1) * n)))
+    for start in range(0, Q.dim, n):  # one (f_i, g_i) per regular block of Q
+        block = range(start, start + n)
+        fi = Morphism((P,), (G,), Matrix.from_rows(f, [B.row_list(r) for r in block]))
+        gi = Morphism((G,), (P,), Matrix.from_columns(f, [coords.col_list(j) for j in block]))
         maps.append((fi, gi))
     return RetractFamily.make(P, maps)
 
 
-def chromatic_retract(H: HopfAlgebra, c: Morphism, fam: RetractFamily,
-                      side: str, check: bool = True) -> Morphism:
-    """Extend a chromatic map based at H to one based at P along a retract;
-    ``check=False`` (a base map with an injected fault) skips its H-linearity."""
+def chromatic_retract(c: ChromaticMap, fam: RetractFamily) -> ChromaticMap:
+    """Extend a chromatic map based at H to one based at P along a retract,
+    keeping c's side and pivot.
+
+    No intertwiner check runs here: a sum of composites of H-linear maps is
+    H-linear, and c was checked by its constructor, the family by
+    ``RetractFamily.make``.
+    """
     P = fam.P
-    if side in ("left", "spherical"):  # P is the last leg of both words
-        kept_s, kept_t = c.source[:-1], c.target[:-1]
-        source, target = kept_s + (P,), kept_t + (P,)
-        terms = [compose(tensor(identity(kept_t), Prim(gi)), Prim(c),
-                         tensor(identity(kept_s), Prim(fi)))
-                 for fi, gi in fam.maps]
-    elif side == "right":  # P is the first leg
+    if c.side == "right":  # P is the first leg
         kept_s, kept_t = c.source[1:], c.target[1:]
         source, target = (P,) + kept_s, (P,) + kept_t
         terms = [compose(tensor(Prim(gi), identity(kept_t)), Prim(c),
                          tensor(Prim(fi), identity(kept_s)))
                  for fi, gi in fam.maps]
-    else:
-        raise ValueError(f"side must be left, right or spherical, got {side!r}")
-    total = Matrix.combination(H.field, word_dim(target), word_dim(source),
-                               ((H.field.one, evaluate(t).matrix) for t in terms))
-    mor = Morphism(source, target, total)
-    if check and not is_h_linear(mor):
-        raise ModuleAxiomError("retracted chromatic map failed the intertwiner check")
-    return mor
+    else:  # left and spherical: P is the last leg
+        kept_s, kept_t = c.source[:-1], c.target[:-1]
+        source, target = kept_s + (P,), kept_t + (P,)
+        terms = [compose(tensor(identity(kept_t), Prim(gi)), Prim(c),
+                         tensor(identity(kept_s), Prim(fi)))
+                 for fi, gi in fam.maps]
+    f = c.H.field
+    total = Matrix.combination(f, word_dim(target), word_dim(source),
+                               ((f.one, evaluate(t).matrix) for t in terms))
+    return ChromaticMap(source, target, total, c.side, c.pivot)
 
 
 @dataclass
@@ -280,18 +282,20 @@ class ChromaticReport:
         }
 
 
-def verify_chromatic_identity(H: HopfAlgebra, c: Morphism, P: HModule, X: HModule,
-                              side: str, pivot: PivotData | None = None) -> ChromaticReport:
-    """Evaluate the defining composite for ``side`` and compare with the identity.
+def verify_chromatic_identity(c: ChromaticMap, X: HModule) -> ChromaticReport:
+    """Evaluate the defining composite for c's side and compare with the identity.
 
-    G is the regular module (the projective generator).  ``c`` must be a
-    chromatic map of the matching type based at P; ``evaluate`` types the
-    composite first, so a map with other words raises MorphismTypeError before
-    any arithmetic.  The composite is applied factor by factor to all
+    G is the regular module (the projective generator), and P is the leg
+    that c's side bases it at: the last one for left and spherical maps, the
+    first for right ones.  ``evaluate`` types the composite first, so a map
+    whose words do not fit its side raises MorphismTypeError before any
+    arithmetic.  The composite is applied factor by factor to all
     dim(X ox P) identity columns, so every column is decided, and no
     ``id ox f ox id`` over the four-leg word is formed as a Kronecker product.
     """
     t0 = time.perf_counter()
+    H, side = c.H, c.side
+    P = c.source[0] if side == "right" else c.source[-1]
     G = regular_module(H)
     if side == "left":
         ev_g, _ = evaluation_morphisms(G, "left")
@@ -313,12 +317,10 @@ def verify_chromatic_identity(H: HopfAlgebra, c: Morphism, P: HModule, X: HModul
             tensor(Prim(c), identity((Gr, X))),
             tensor(identity((P,)), Prim(coevt_gr), identity((X,))),
         )
-    elif side == "spherical":
-        if pivot is None:
-            raise NotSphericalError("spherical verification needs a pivot")
+    else:
         ev_g, _ = evaluation_morphisms(G, "left")
         Gl = ev_g.source[0]
-        _, coevt_piv = pivotal_evaluation_morphisms(G, pivot.g)
+        _, coevt_piv = pivotal_evaluation_morphisms(G, c.pivot.g)
         # alpha is trivial on a unimodular H: Lambda^l as an endomorphism
         lam = lambda_transform(H, (X, Gl), "left").matrix
         expr = compose(
@@ -326,8 +328,6 @@ def verify_chromatic_identity(H: HopfAlgebra, c: Morphism, P: HModule, X: HModul
             tensor(Prim(Morphism((X, Gl), (X, Gl), lam)), Prim(c)),
             tensor(identity((X,)), Prim(coevt_piv), identity((P,))),
         )
-    else:
-        raise ValueError(f"side must be left, right or spherical, got {side!r}")
 
     got = evaluate(expr)
     want = Matrix.identity(H.field, got.matrix.ncols)

@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 from .algebras import (
     GroupTable,
@@ -277,7 +278,7 @@ def cmd_check(args) -> int:
         "trivial", "regular", "alpha"]
     xmods = [env.module(w.strip()) for w in wanted]
 
-    fams = [None]  # None = based at the regular module itself
+    fams = []
     if not args.no_split:
         idem = find_nontrivial_idempotent(H)
         if idem is not None:
@@ -297,7 +298,7 @@ def cmd_check(args) -> int:
                     f"{side} chromatic matrix")
             bumped = base.matrix + Matrix.from_entries(
                 H.field, nrows, ncols, {(r, c): H.field.one})
-            base = Morphism(base.source, base.target, bumped)
+            base = replace(base, matrix=bumped)
             # a chromatic map is an H-mod morphism; a fault may break that
             # even when every grid identity still holds
             if not is_h_linear(base):
@@ -305,14 +306,9 @@ def cmd_check(args) -> int:
                     f"injected fault at ({r},{c}) breaks H-linearity of the "
                     f"{side} map")
                 all_ok = False
-        for fam in fams:
-            c_map = base if fam is None else chromatic_retract(
-                H, base, fam, side, check=args.inject_fault is None)
-            P = G if fam is None else fam.P
+        for c_map in [base] + [chromatic_retract(base, fam) for fam in fams]:
             for X in xmods:
-                rep = verify_chromatic_identity(
-                    H, c_map, P, X, side,
-                    pivot=env.pivot if side == "spherical" else None)
+                rep = verify_chromatic_identity(c_map, X)
                 reports.append(rep)
                 all_ok = all_ok and rep.equal
     payload = {"algebra": H.name, "all_equal": all_ok,

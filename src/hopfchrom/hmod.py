@@ -14,16 +14,17 @@ Verification policy (here and in ``chromatic``): structure morphisms and the
 standard modules are built unchecked; every entry point for outside names or
 data always checks: ``module_make`` the action axioms, ``ExprEnv.primitive``
 the one morphism it returns, the chromatic constructors, ``split_idempotent`` and
-``RetractFamily.make`` H-linearity.  The one switch is
-``chromatic_retract(check)``, which the CLI turns off under an injected fault.
+``RetractFamily.make`` H-linearity.  ``chromatic_retract`` builds from these
+checked parts, and no function has a switch that turns a check off.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import reduce
 
-from .hopf import HopfAlgebra, HopfDataError
+from .hopf import HopfAlgebra
 from .integrals import normalized_pair
 from .linalg import Matrix, stacked_nullspace
 
@@ -63,13 +64,16 @@ class MorphismTypeError(ValueError):
 class HModule:
     """A finite-dimensional left H-module given by action matrices."""
 
-    __slots__ = ("H", "dim", "action", "label")
+    __slots__ = ("H", "dim", "action", "label", "_duals", "__weakref__")
 
     def __init__(self, H: HopfAlgebra, dim: int, action, label: str):
         self.H = H
         self.dim = dim
         self.action = tuple(action)  # one dim x dim Matrix per basis element
         self.label = label
+        # side -> dual, held weakly so that no dual outlives its users: a chromatic
+        # map's regular leg would otherwise keep its unused ld(H) or rd(H) alive
+        self._duals = weakref.WeakValueDictionary()
 
     def act(self, a: list) -> Matrix:
         """Action matrix of an arbitrary element of H."""
@@ -146,16 +150,20 @@ def tensor_module(M: HModule, N: HModule) -> HModule:
 
 
 def dual_module(M: HModule, side: str) -> HModule:
-    """Left dual (via S) or right dual (via S^{-1}) of M."""
-    H = M.H
-    if side == "left":
-        smat, tag = H.antipode, "ld"
-    elif side == "right":
-        smat, tag = H.antipode_inverse(), "rd"
-    else:
-        raise ValueError(f"side must be left or right, got {side!r}")
-    action = [M.act(smat.col_list(i)).transpose() for i in range(H.dim)]
-    return HModule(H, M.dim, action, f"{tag}({M.label})")
+    """Left dual (via S) or right dual (via S^{-1}) of M; while a dual is in use,
+    every call for it returns the same module."""
+    D = M._duals.get(side)
+    if D is None:
+        H = M.H
+        if side == "left":
+            smat, tag = H.antipode, "ld"
+        elif side == "right":
+            smat, tag = H.antipode_inverse(), "rd"
+        else:
+            raise ValueError(f"side must be left or right, got {side!r}")
+        action = [M.act(smat.col_list(i)).transpose() for i in range(H.dim)]
+        D = M._duals[side] = HModule(H, M.dim, action, f"{tag}({M.label})")
+    return D
 
 
 # -- tensor words --------------------------------------------------------------

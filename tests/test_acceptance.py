@@ -7,6 +7,7 @@ asserts its wall-clock budget and prints one PASS/FAIL line (run with
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 from helpers import axiom_violated, dense_tensors, mutate, terms
 
@@ -166,18 +167,17 @@ def test_criterion_4_chromatic_identities():
             cl = chromatic_left_hopf(H)
             cr = chromatic_right_hopf(H)
             cases = [(cl, G, "left"), (cr, G, "right"),
-                     (chromatic_retract(H, cl, fam, "left"), fam.P, "left"),
-                     (chromatic_retract(H, cr, fam, "right"), fam.P, "right")]
+                     (chromatic_retract(cl, fam), fam.P, "left"),
+                     (chromatic_retract(cr, fam), fam.P, "right")]
             spherical, pivot = is_spherical_hmod(H)
             if spherical:
                 cs = chromatic_spherical(H, pivot)
                 cases += [(cs, G, "spherical"),
-                          (chromatic_retract(H, cs, fam, "spherical"), fam.P,
+                          (chromatic_retract(cs, fam), fam.P,
                            "spherical")]
             for X in xmods:
                 for c, P, side in cases:
-                    rep = verify_chromatic_identity(H, c, P, X, side,
-                                                    pivot=pivot)
+                    rep = verify_chromatic_identity(c, X)
                     assert rep.equal, (H.name, side, P.label, X.label)
                     slowest = max(slowest, rep.elapsed)
         # spherical holds on the three group algebras by construction above;
@@ -266,16 +266,16 @@ def test_criterion_7_cop_dictionary():
             cr = chromatic_right_hopf(H)
             cl_c = chromatic_left_hopf(Hc)
             fam, fam_c = _retract_family(H), _retract_family(Hc)
-            crp = chromatic_retract(H, cr, fam, "right")
-            clp_c = chromatic_retract(Hc, cl_c, fam_c, "left")
+            crp = chromatic_retract(cr, fam)
+            clp_c = chromatic_retract(cl_c, fam_c)
             G, Gc = regular_module(H), regular_module(Hc)
             xs = [trivial_module(H), regular_module(H), alpha_module(H)]
             xs_c = [trivial_module(Hc), regular_module(Hc), alpha_module(Hc)]
             for X, Xc in zip(xs, xs_c):
                 for (c1, P1), (c2, P2) in (((cr, G), (cl_c, Gc)),
                                            ((crp, fam.P), (clp_c, fam_c.P))):
-                    r1 = verify_chromatic_identity(H, c1, P1, X, "right")
-                    r2 = verify_chromatic_identity(Hc, c2, P2, Xc, "left")
+                    r1 = verify_chromatic_identity(c1, X)
+                    r2 = verify_chromatic_identity(c2, Xc)
                     assert r1.equal and r2.equal, (H.name, X.label, P1.label)
 
 
@@ -295,21 +295,19 @@ def test_criterion_8_negative_controls():
             xmods = [trivial_module(H), regular_module(H), alpha_module(H)]
             for side, c in (("left", chromatic_left_hopf(H)),
                             ("right", chromatic_right_hopf(H))):
-                assert verify_chromatic_identity(H, c, G, xmods[0], side).equal
+                assert verify_chromatic_identity(c, xmods[0]).equal
                 n2 = c.matrix.nrows
                 for r in range(n2):
                     for cidx in range(n2):
                         bumped = c.matrix + Matrix.from_entries(
                             H.field, n2, n2, {(r, cidx): H.field.one})
-                        bad = Morphism(c.source, c.target, bumped)
+                        bad = replace(c, matrix=bumped)
                         rejected = not is_h_linear(bad) or any(
-                            not verify_chromatic_identity(H, bad, G, X,
-                                                          side).equal
+                            not verify_chromatic_identity(bad, X).equal
                             for X in xmods)
                         assert rejected, (H.name, side, r, cidx)
                         if H.dim == 2:
-                            rep = verify_chromatic_identity(
-                                H, bad, G, xmods[0], side)
+                            rep = verify_chromatic_identity(bad, xmods[0])
                             assert not rep.equal and rep.mismatch is not None
         # pivot candidates violating any of the three conditions are rejected
         z2 = corpus[0]

@@ -221,3 +221,36 @@ def test_evaluate_matches_kronecker_reference_on_random_trees(h4, data):
     got, want = evaluate(expr), kron_evaluate(expr)
     assert got.source == want.source and got.target == want.target
     assert got.matrix == want.matrix
+
+
+def test_expr_builds_each_dual_once(monkeypatch, capsys):
+    """ev, coev and ld(H) in one expression share the single dual kept on H."""
+    from hopfchrom import HModule
+    from hopfchrom.cli import main
+
+    labels = []
+    init = HModule.__init__
+
+    def recorded(self, H, dim, action, label):
+        labels.append(label)
+        init(self, H, dim, action, label)
+
+    monkeypatch.setattr(HModule, "__init__", recorded)
+    code = main(["check", "--builtin", "sweedler",
+                 "--expr", "ev(H)*id(ld(H));id(ld(H))*coev(H)"])
+    assert code == 0 and "equals identity: True" in capsys.readouterr().out
+    assert labels.count("ld(H)") == 1
+
+
+def test_dual_module_is_shared_while_in_use(h4):
+    import weakref
+
+    G = regular_module(h4)
+    for side in ("left", "right"):
+        assert dual_module(G, side) is dual_module(G, side)
+    assert dual_module(G, "left") is not dual_module(G, "right")
+    D = dual_module(G, "left")
+    gone = weakref.ref(D)
+    del D  # the module does not keep its dual alive
+    assert gone() is None
+    assert dual_module(G, "left").same_as(dual_module(regular_module(h4), "left"))

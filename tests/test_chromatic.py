@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import pytest
 from helpers import cop_transported_right_map, kron_evaluate, left_map_by_direct_expansion
 
 import hopfchrom.chromatic as chromatic_mod
 from hopfchrom import (
+    ChromaticMap,
     Matrix,
     Morphism,
     MorphismTypeError,
@@ -143,7 +145,7 @@ def test_retract_identity_family_returns_map_unchanged(h4):
              Morphism((G,), (G,), Matrix.identity(h4.field, 4)))])
     for side, base in (("left", chromatic_left_hopf(h4)),
                        ("right", chromatic_right_hopf(h4))):
-        ext = chromatic_retract(h4, base, fam, side)
+        ext = chromatic_retract(base, fam)
         assert ext.matrix == base.matrix
 
 
@@ -163,7 +165,7 @@ def test_retract_rejects_module_only_labelled_regular(h4):
     for side, base in (("left", chromatic_left_hopf(h4)),
                        ("right", chromatic_right_hopf(h4))):
         with pytest.raises(MorphismTypeError, match="cannot compose"):
-            chromatic_retract(h4, base, fam, side, check=False)
+            chromatic_retract(base, fam)
 
 
 def _double_regular(H):
@@ -193,7 +195,7 @@ def test_retract_block_diagonal_on_double_regular(h4):
         for blk in range(2)]
     fam = RetractFamily.make(Q, list(zip(proj, incl)))
     c = chromatic_left_hopf(h4)
-    ext = chromatic_retract(h4, c, fam, "left")
+    ext = chromatic_retract(c, fam)
     # block-diagonal in the P slot: rows (a,h,(s,p)), cols (x,(t,y))
     for (row, col, v) in ext.matrix.nonzero_items():
         ah, sp = divmod(row, 2 * n)
@@ -203,7 +205,7 @@ def test_retract_block_diagonal_on_double_regular(h4):
         assert s == t
         assert v == c.matrix.entry(ah * n + p, x * n + y)
     # and the extended map still satisfies the identity
-    rep = verify_chromatic_identity(h4, ext, Q, trivial_module(h4), "left")
+    rep = verify_chromatic_identity(ext, trivial_module(h4))
     assert rep.equal
 
 
@@ -214,12 +216,12 @@ def test_verify_identity_full_grid_small(corpus_data):
         cl = chromatic_left_hopf(H)
         cr = chromatic_right_hopf(H)
         fam = split_idempotent(right_mult_idempotent(H))
-        clp = chromatic_retract(H, cl, fam, "left")
-        crp = chromatic_retract(H, cr, fam, "right")
+        clp = chromatic_retract(cl, fam)
+        crp = chromatic_retract(cr, fam)
         for X in (trivial_module(H), regular_module(H), alpha_module(H)):
             for c, P, side in ((cl, G, "left"), (cr, G, "right"),
                                (clp, fam.P, "left"), (crp, fam.P, "right")):
-                rep = verify_chromatic_identity(H, c, P, X, side)
+                rep = verify_chromatic_identity(c, X)
                 assert rep.equal, (name, side, P.label, X.label)
 
 
@@ -227,17 +229,16 @@ def test_verify_identity_negative_control(z2):
     G = regular_module(z2)
     c = chromatic_left_hopf(z2)
     bumped = c.matrix + Matrix.from_entries(z2.field, 4, 4, {(0, 0): z2.field.one})
-    bad = Morphism(c.source, c.target, bumped)
-    rep = verify_chromatic_identity(z2, bad, G, trivial_module(z2), "left")
+    bad = replace(c, matrix=bumped)
+    rep = verify_chromatic_identity(bad, trivial_module(z2))
     assert not rep.equal
     assert rep.mismatch is not None and "row" in rep.mismatch
 
 
 def test_verify_identity_type_mismatch(z2):
-    G = regular_module(z2)
-    c = chromatic_right_hopf(z2)
+    c = replace(chromatic_right_hopf(z2), side="left")
     with pytest.raises(MorphismTypeError):
-        verify_chromatic_identity(z2, c, G, trivial_module(z2), "left")
+        verify_chromatic_identity(c, trivial_module(z2))
 
 
 def test_spherical_identity_with_nonunit_pivot(z2):
@@ -248,7 +249,7 @@ def test_spherical_identity_with_nonunit_pivot(z2):
     for p in pivots:
         c = chromatic_spherical(z2, p)
         for X in (trivial_module(z2), regular_module(z2)):
-            rep = verify_chromatic_identity(z2, c, G, X, "spherical", pivot=p)
+            rep = verify_chromatic_identity(c, X)
             assert rep.equal, z2.format_vector(p.g)
 
 
@@ -265,7 +266,7 @@ def test_spherical_rows_hold_for_every_corpus_pivot_given_g_alone(corpus):
             pivot = PivotData(p.g)
             c = chromatic_spherical(H, pivot)
             for X in (trivial_module(H), regular_module(H)):
-                rep = verify_chromatic_identity(H, c, G, X, "spherical", pivot=pivot)
+                rep = verify_chromatic_identity(c, X)
                 assert rep.equal, (H.name, H.format_vector(p.g), X.label)
                 checked += 1
     assert checked == 12  # six pivots of four unimodular algebras, two X each
@@ -291,8 +292,8 @@ def test_right_verification_matches_left_in_cop(corpus_data):
         G, Gc = regular_module(H), regular_module(Hc)
         for Xmk, Xmk_c in ((trivial_module, trivial_module),
                            (regular_module, regular_module)):
-            r1 = verify_chromatic_identity(H, cr, G, Xmk(H), "right")
-            r2 = verify_chromatic_identity(Hc, cl_cop, Gc, Xmk_c(Hc), "left")
+            r1 = verify_chromatic_identity(cr, Xmk(H))
+            r2 = verify_chromatic_identity(cl_cop, Xmk_c(Hc))
             assert r1.equal and r2.equal and r1.equal == r2.equal, name
 
 
@@ -306,8 +307,8 @@ def test_full_pipeline_over_cyclotomic_field():
     cl = chromatic_left_hopf(H)
     cr = chromatic_right_hopf(H)
     for X in (trivial_module(H), alpha_module(H), regular_module(H)):
-        assert verify_chromatic_identity(H, cl, G, X, "left").equal
-        assert verify_chromatic_identity(H, cr, G, X, "right").equal
+        assert verify_chromatic_identity(cl, X).equal
+        assert verify_chromatic_identity(cr, X).equal
 
 
 def test_larger_taft_instances_out_of_corpus():
@@ -319,14 +320,14 @@ def test_larger_taft_instances_out_of_corpus():
     G = regular_module(H)
     cl = chromatic_left_hopf(H)
     for X in (trivial_module(H), alpha_module(H)):
-        assert verify_chromatic_identity(H, cl, G, X, "left").equal
+        assert verify_chromatic_identity(cl, X).equal
 
     # dim 25 over GF(11), X = regular: 25^4-dimensional intermediate words
     F11 = field_make(FieldSpec("prime-field", p=11))
     H = taft(5, F11)
     G = regular_module(H)
     cr = chromatic_right_hopf(H)
-    rep = verify_chromatic_identity(H, cr, G, regular_module(H), "right")
+    rep = verify_chromatic_identity(cr, regular_module(H))
     assert rep.equal
 
 
@@ -380,7 +381,69 @@ def test_evaluate_builds_no_kronecker_product(t3, monkeypatch):
     monkeypatch.setattr(chromatic_mod, "evaluate", tracked_evaluate)
     monkeypatch.setattr(Matrix, "kron", tracked_kron)
     for side, c in maps.items():
-        for P, c_P in ((G, c), (fam.P, chromatic_retract(t3, c, fam, side))):
-            assert verify_chromatic_identity(t3, c_P, P, G, side).equal
+        for c_P in (c, chromatic_retract(c, fam)):
+            assert verify_chromatic_identity(c_P, G).equal
     assert calls["evaluate"] > 4 and calls["outside"] > 0
     assert calls["inside"] == 0
+
+
+def test_chromatic_api_takes_only_the_map():
+    import inspect
+
+    for fn, params in ((verify_chromatic_identity, ["c", "X"]),
+                       (chromatic_retract, ["c", "fam"]),
+                       (split_idempotent, ["e"])):
+        assert list(inspect.signature(fn).parameters) == params, fn.__name__
+
+
+@pytest.mark.parametrize("argv, checks", [
+    (["--builtin", "taft:5", "--field", "GF:11"], 5),
+    (["--builtin", "taft:4", "--field", "Cyc:8", "--modules", "trivial,alpha"], 5),
+    # the grid's X modules run no intertwiner check, so one X gives the same count
+    (["--builtin", "uqsl2:3", "--field", "GF:7", "--modules", "trivial"], 6),
+    # the faulted base maps are checked once each in check itself
+    (["--builtin", "sweedler", "--inject-fault", "0,15"], 7),
+])
+def test_check_runs_each_intertwiner_check_once(argv, checks, capsys, monkeypatch):
+    """The constructors and the retract family check H-linearity; a retract,
+    built from those checked parts, runs no check of its own."""
+    import sys
+
+    import hopfchrom.hmod as hmod_module
+
+    calls = []
+    orig = hmod_module.is_h_linear
+
+    def counted(mor):
+        calls.append(mor)
+        return orig(mor)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("hopfchrom") and mod is not None:
+            for key, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, key, counted)
+    main(["check", *argv])
+    capsys.readouterr()
+    assert len(calls) == checks
+
+
+def test_retracted_spherical_map_keeps_side_and_pivot(z2):
+    c = chromatic_spherical(z2, pivot_candidates(z2)[1])
+    ext = chromatic_retract(c, split_idempotent(right_mult_idempotent(z2)))
+    assert isinstance(ext, ChromaticMap)
+    assert ext.side == "spherical" and ext.pivot is c.pivot
+    for X in (trivial_module(z2), regular_module(z2)):
+        rep = verify_chromatic_identity(ext, X).as_dict()
+        assert rep["P"] == "split(H)" and rep["side"] == "spherical" and rep["equal"]
+
+
+def test_chromatic_map_rejects_bad_side_or_pivot(z2):
+    c = chromatic_left_hopf(z2)
+    pivot = pivot_candidates(z2)[0]
+    with pytest.raises(ValueError, match="side must be"):
+        replace(c, side="middle")
+    with pytest.raises(ValueError, match="spherical chromatic map needs a pivot"):
+        replace(chromatic_spherical(z2, pivot), pivot=None)
+    with pytest.raises(ValueError, match="left chromatic map takes no pivot"):
+        replace(c, pivot=pivot)

@@ -75,8 +75,8 @@ def test_left_right_identities_small_x(uq):
     cr = chromatic_right_hopf(H)
     assert cr.matrix == cop_transported_right_map(H)
     for X in (trivial_module(H), alpha_module(H)):
-        assert verify_chromatic_identity(H, cl, G, X, "left").equal
-        assert verify_chromatic_identity(H, cr, G, X, "right").equal
+        assert verify_chromatic_identity(cl, X).equal
+        assert verify_chromatic_identity(cr, X).equal
 
 
 def test_spherical_identity_with_nontrivial_pivot(uq):
@@ -85,15 +85,14 @@ def test_spherical_identity_with_nontrivial_pivot(uq):
     G = regular_module(H)
     cs = chromatic_spherical(H, pivot)  # intertwiner check included
     for X in (trivial_module(H), alpha_module(H), regular_module(H)):
-        rep = verify_chromatic_identity(H, cs, G, X, "spherical", pivot=pivot)
+        rep = verify_chromatic_identity(cs, X)
         assert rep.equal, X.label
     # and on an idempotent summand
     a = find_nontrivial_idempotent(H)
     fam = split_idempotent(Morphism((G,), (G,), H.element_right_mult(a)))
     assert fam.P.dim == 9
-    csp = chromatic_retract(H, cs, fam, "spherical")
-    rep = verify_chromatic_identity(H, csp, fam.P, trivial_module(H),
-                                    "spherical", pivot=pivot)
+    csp = chromatic_retract(cs, fam)
+    rep = verify_chromatic_identity(csp, trivial_module(H))
     assert rep.equal
 
 
