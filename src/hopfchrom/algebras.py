@@ -158,6 +158,11 @@ def sweedler_h4(field: Field, name: str = "sweedler") -> HopfAlgebra:
                      antipode, name=name)
 
 
+def _monomial(*powers) -> str:
+    """Basis name of a PBW monomial: ``g2x`` for ``("g", 2), ("x", 1)``, ``1`` if empty."""
+    return "".join(s if k == 1 else f"{s}{k}" for s, k in powers if k) or "1"
+
+
 def _gauss_binomials(field: Field, n: int, q):
     """Triangle of q-binomials [j choose t]_q for 0 <= t <= j < n."""
     rows = [[field.one]]
@@ -211,12 +216,7 @@ def taft(n: int, field: Field, name: str | None = None) -> HopfAlgebra:
             if j % 2:
                 c = field.neg(c)
             antipode.append((idx((-i - j) % n, j), idx(i, j), c))
-    names = []
-    for i in range(n):
-        for j in range(n):
-            gpart = "" if i == 0 else ("g" if i == 1 else f"g{i}")
-            xpart = "" if j == 0 else ("x" if j == 1 else f"x{j}")
-            names.append((gpart + xpart) or "1")
+    names = [_monomial(("g", i), ("x", j)) for i in range(n) for j in range(n)]
     return hopf_make(field, names, mult, unit, comult, counit, antipode,
                      name=name or f"taft:{n}")
 
@@ -335,16 +335,7 @@ def small_quantum_sl2(n: int, field: Field, name: str | None = None) -> HopfAlge
                 for (a, b, c) in monomials
                 for key, v in prod(spE[c], prod(spK[b], spF[a])).items()]
 
-    names = []
-    for (a, b, c) in monomials:
-        parts = []
-        if a:
-            parts.append("F" if a == 1 else f"F{a}")
-        if b:
-            parts.append("K" if b == 1 else f"K{b}")
-        if c:
-            parts.append("E" if c == 1 else f"E{c}")
-        names.append("".join(parts) or "1")
+    names = [_monomial(("F", a), ("K", b), ("E", c)) for (a, b, c) in monomials]
     return hopf_make(field, names, mult, unit, comult, counit, antipode,
                      name=name or f"uqsl2:{n}")
 

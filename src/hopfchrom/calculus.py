@@ -1,13 +1,14 @@
 """Typed expression trees over morphisms: compose, tensor, evaluate.
 
 Evaluation is functorial and exact.  A tree is typed node by node first, then
-applied from right to left to the identity columns of its source word: a
-primitive multiplies the current column block on its own tensor legs
-(``Matrix.kron_apply``), an identity passes it through, and a tensor applies
-its left factor on the leading legs and then its right factor on the trailing
-ones.  No Kronecker product is formed: every intermediate block has one
-column per basis vector of the source word and one row per basis vector of
-the word it has reached.  Tensor words are flat (left-nested) so both sides
+applied from right to left to a block of vectors of its source word, held as
+rows (``evaluate_rows``; ``evaluate`` takes every basis vector and transposes
+the result once): a primitive sends each row through itself on its own tensor
+legs (``Matrix.kron_apply``), an identity passes the block through, and a
+tensor applies its left factor on the leading legs and then its right factor
+on the trailing ones.  No Kronecker product is formed: every intermediate
+block has one sparse row per vector it started from, whatever the dimension
+of the word it has reached.  Tensor words are flat (left-nested) so both sides
 of a diagrammatic equation can be built verbatim and compared entry by
 entry.  A small textual syntax for the CLI names the standard primitives
 (ev, coev, evt, coevt, id, lamL, lamR, cL, cR, cSph); ``;`` composes in the
@@ -15,8 +16,9 @@ written operator order (the leftmost factor is applied last) and ``*``
 tensors, binding tighter than ``;``.
 
 Trees and parentheses nest at most ``MAX_EXPR_DEPTH`` levels, well inside
-Python's recursion limit, and no block or primitive built here has more than
-``MAX_WORD_DIM`` rows (the builtin grids reach 27^4 for uqsl2:3 at X = H).
+Python's recursion limit, and no word that a block or primitive reaches has
+dimension above ``MAX_WORD_DIM`` (the builtin grids reach 27^4 for uqsl2:3 at
+X = H).
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ __all__ = [
     "compose",
     "tensor",
     "evaluate",
+    "evaluate_rows",
+    "primitives",
     "morphisms_equal",
     "ExprSyntaxError",
     "ExprEnv",
@@ -199,7 +203,8 @@ def _check_word_dim(dim: int, what: str):
 
 
 def _apply(expr: MorphismExpr, block: Matrix, outer: int, inner: int) -> Matrix:
-    """``(I_outer ox matrix(expr) ox I_inner) @ block`` for a typed tree."""
+    """The rows of ``block``, vectors of ``outer ox source ox inner``, sent
+    through ``I_outer ox matrix(expr) ox I_inner``, for a typed tree."""
     if isinstance(expr, Prim):
         _check_word_dim(outer * expr.morphism.matrix.nrows * inner,
                         f"the word reached by {expr!r}")
@@ -212,18 +217,37 @@ def _apply(expr: MorphismExpr, block: Matrix, outer: int, inner: int) -> Matrix:
     return _apply(expr.g, block, outer * word_dim(expr.f.target_word()), inner)
 
 
+def evaluate_rows(expr: MorphismExpr, vectors: Matrix | None = None) -> Matrix:
+    """The images under an expression tree of the rows of ``vectors``, vectors
+    of its source word, one row each; by default every basis vector, so the
+    result is the transposed matrix of the composite.  Types are checked
+    before any arithmetic."""
+    _check_depth(expr)
+    _check_types(expr)
+    source = expr.source_word()
+    _check_word_dim(word_dim(source), f"source word {word_label(source)}")
+    if vectors is None:
+        vectors = Matrix.identity(_field_of(expr), word_dim(source))
+    return _apply(expr, vectors, 1, 1)
+
+
 def evaluate(expr: MorphismExpr) -> Morphism:
     """Evaluate an expression tree to a single Morphism, checking types.
 
     The result is the exact matrix of the composite, decided on every column
     of its source word.
     """
-    _check_depth(expr)
-    _check_types(expr)
-    source = expr.source_word()
-    _check_word_dim(word_dim(source), f"source word {word_label(source)}")
-    columns = Matrix.identity(_field_of(expr), word_dim(source))
-    return Morphism(source, expr.target_word(), _apply(expr, columns, 1, 1))
+    images = evaluate_rows(expr)
+    return Morphism(expr.source_word(), expr.target_word(), images.transpose())
+
+
+def primitives(expr: MorphismExpr):
+    """The morphisms at the ``Prim`` leaves of a tree, left to right."""
+    if isinstance(expr, Prim):
+        yield expr.morphism
+    elif isinstance(expr, (Compose, Tensor)):
+        yield from primitives(expr.f)
+        yield from primitives(expr.g)
 
 
 def morphisms_equal(f: Morphism, g: Morphism) -> bool:
@@ -277,7 +301,6 @@ class ExprEnv:
         self.H = H
         self._hmod = _hmod
         self._chromatic = _chromatic
-        self._modules: dict[str, HModule] = {}
 
     @functools.cached_property
     def pivot(self):
@@ -301,20 +324,14 @@ class ExprEnv:
         return ch.chromatic_spherical(self.H, self.pivot)
 
     def module(self, name: str) -> HModule:
-        key = name
-        if key in self._modules:
-            return self._modules[key]
         hm = self._hmod
         if name in ("H", "regular"):
-            mod = hm.regular_module(self.H)
-        elif name in ("triv", "trivial", "1", "unit"):
-            mod = hm.trivial_module(self.H)
-        elif name == "alpha":
-            mod = hm.alpha_module(self.H)
-        else:
-            raise ExprSyntaxError(f"unknown module {name!r}")
-        self._modules[key] = mod
-        return mod
+            return hm.regular_module(self.H)
+        if name in ("triv", "trivial", "1", "unit"):
+            return hm.trivial_module(self.H)
+        if name == "alpha":
+            return hm.alpha_module(self.H)
+        raise ExprSyntaxError(f"unknown module {name!r}")
 
     def primitive(self, name: str, mods: list[HModule]) -> MorphismExpr:
         """The named primitive; an evaluation or Lambda-transformation is

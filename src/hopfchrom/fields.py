@@ -100,24 +100,14 @@ def _parse_rational(text: str) -> Fraction:
 
 
 class Field:
-    """Common interface of the three exact fields."""
+    """Common interface of the three exact fields.  Each field defines, on
+    payloads, ``add``, ``neg``, ``mul``, ``inv`` and ``from_int``; ``coerce``
+    (an int or an already-canonical payload), ``parse`` and ``format``; and
+    ``characteristic``.  The rest is derived here."""
 
     spec: FieldSpec
     zero: object
     one: object
-
-    # -- arithmetic on payloads -------------------------------------------
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -135,23 +125,6 @@ class Field:
             base = self.mul(base, base)
             k >>= 1
         return acc
-
-    # -- conversions -------------------------------------------------------
-    def from_int(self, k: int):
-        raise NotImplementedError
-
-    def coerce(self, v):
-        """Accept an int or an already-canonical payload."""
-        raise NotImplementedError
-
-    def parse(self, text: str):
-        raise NotImplementedError
-
-    def format(self, a) -> str:
-        raise NotImplementedError
-
-    def characteristic(self) -> int:
-        raise NotImplementedError
 
     @property
     def finite(self) -> bool:
@@ -497,11 +470,6 @@ def primitive_root_of_unity(field: Field, n: int):
     if n == 1:
         return field.one
 
-    def check(q):
-        if field.pow(q, n) != field.one:
-            return False
-        return all(field.pow(q, k) != field.one for k in range(1, n))
-
     if isinstance(field, RationalField):
         if n == 2:
             return Fraction(-1)
@@ -526,6 +494,7 @@ def primitive_root_of_unity(field: Field, n: int):
             root = field.pow(field.neg(field.zeta), 2 * m // n)
         else:
             raise FieldError(f"{field.spec} has no element of order {n}")
-        assert check(root)
+        assert field.pow(root, n) == field.one
+        assert all(field.pow(root, k) != field.one for k in range(1, n))
         return root
     raise FieldError(f"unsupported field {field.spec}")

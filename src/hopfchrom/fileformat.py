@@ -23,6 +23,7 @@ always runs the full axiom suite.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 from .fields import Field, FieldError, FieldSpec, field_make
 from .hopf import MAX_DIM, HopfAlgebra, _comult_terms, _mult_terms, hopf_make
@@ -34,15 +35,6 @@ __all__ = ["FileFormatError", "algebra_to_dict", "algebra_from_dict",
 
 class FileFormatError(ValueError):
     """Malformed algebra file; the message carries the offending field."""
-
-
-def _field_spec_to_dict(spec: FieldSpec) -> dict:
-    out = {"kind": spec.kind}
-    if spec.kind == "prime-field":
-        out["p"] = spec.p
-    if spec.kind == "cyclotomic":
-        out["n"] = spec.n
-    return out
 
 
 def _field_from_dict(d: dict) -> Field:
@@ -63,7 +55,7 @@ def algebra_to_dict(H: HopfAlgebra) -> dict:
         [i, j, f.format(v)] for i, j, v in sorted(H.antipode.nonzero_items())
     ]
     return {
-        "field": _field_spec_to_dict(f.spec),
+        "field": {k: v for k, v in asdict(f.spec).items() if v is not None},
         "name": H.name,
         "dim": H.dim,
         "basis_names": list(H.basis_names),

@@ -10,6 +10,9 @@ Left duals act by ``transpose(rho(S(h)))``, right duals by
 ``transpose(rho(S^{-1}(h)))``.  The Lambda-transformations are the actions of
 ``S^{-1}(Lambda)`` (left) and ``S(Lambda)`` (right).
 
+The regular, trivial and alpha modules are built once per algebra and kept on
+it, so every caller shares them (and whichever of their duals is in use).
+
 Verification policy (here and in ``chromatic``): structure morphisms and the
 standard modules are built unchecked; every entry point for outside names or
 data always checks: ``module_make`` the action axioms, ``ExprEnv.primitive``
@@ -121,24 +124,28 @@ def _validate_module(M: HModule):
                 )
 
 
+def _standard(H: HopfAlgebra, label: str, dim: int, action) -> HModule:
+    """The standard module ``label`` of H, built on first use and kept on H."""
+    if label not in H._modules:
+        H._modules[label] = HModule(H, dim, action(), label)
+    return H._modules[label]
+
+
 def regular_module(H: HopfAlgebra) -> HModule:
     """H acting on itself by left multiplication (projective generator)."""
-    return HModule(H, H.dim, [H.left_mult_matrix(i) for i in range(H.dim)], "H")
+    return _standard(H, "H", H.dim, lambda: [H.left_mult_matrix(i) for i in range(H.dim)])
 
 
 def trivial_module(H: HopfAlgebra) -> HModule:
     """The monoidal unit: k with action through the counit."""
-    f = H.field
-    action = [Matrix.from_rows(f, [[H.counit[i]]]) for i in range(H.dim)]
-    return HModule(H, 1, action, "triv")
+    return _standard(H, "triv", 1, lambda: [Matrix.from_rows(H.field, [[c]])
+                                            for c in H.counit])
 
 
 def alpha_module(H: HopfAlgebra) -> HModule:
     """The distinguished invertible object: k with h acting by alpha_H(h)."""
-    f = H.field
-    alpha = normalized_pair(H).alpha
-    action = [Matrix.from_rows(f, [[alpha[i]]]) for i in range(H.dim)]
-    return HModule(H, 1, action, "alpha")
+    return _standard(H, "alpha", 1, lambda: [Matrix.from_rows(H.field, [[a]])
+                                             for a in normalized_pair(H).alpha])
 
 
 def tensor_module(M: HModule, N: HModule) -> HModule:
@@ -253,11 +260,12 @@ class Morphism:
 
 
 def is_h_linear(mor: Morphism) -> bool:
-    """Exact intertwiner check over every basis element of H."""
+    """Exact intertwiner check on the algebra generators of H: the elements
+    that a map commutes with form a subalgebra, so these decide it."""
     if not mor.source and not mor.target:
         return True
     H = mor.H
-    for k in range(H.dim):
+    for k in H.algebra_generators():
         lhs = mor.matrix @ word_action(H, mor.source, k)
         rhs = word_action(H, mor.target, k) @ mor.matrix
         if lhs != rhs:
@@ -309,24 +317,20 @@ def hom_space(M: HModule, N: HModule) -> Matrix:
         raise MorphismTypeError("hom between modules over different algebras")
     f = M.H.field
     id_m, id_n = Matrix.identity(f, M.dim), Matrix.identity(f, N.dim)
-    # rho_N(e_k) F - F rho_M(e_k) = 0 on F flattened row-major:
-    # (rho_N(e_k) ox I - I ox rho_M(e_k)^T) vec(F) = 0
-    return stacked_nullspace([rn.kron(id_m) - id_n.kron(rm.transpose())
-                              for rn, rm in zip(N.action, M.action)])
+    # rho_N(e_k) F - F rho_M(e_k) = 0 on F flattened row-major, for the
+    # generators e_k of H (the kernel, hence its canonical basis, is the same
+    # as over all of H): (rho_N(e_k) ox I - I ox rho_M(e_k)^T) vec(F) = 0
+    return stacked_nullspace([N.action[k].kron(id_m) - id_n.kron(M.action[k].transpose())
+                              for k in M.H.algebra_generators() or (0,)])
 
 
 def hom_basis(M: HModule, N: HModule) -> list[Matrix]:
     """The hom_space basis reshaped into N.dim x M.dim matrices."""
     basis = hom_space(M, N)
-    out = []
-    for c in range(basis.ncols):
-        col = basis.col_list(c)
-        entries = {}
-        for flat, v in enumerate(col):
-            if v != M.H.field.zero:
-                entries[divmod(flat, M.dim)] = v
-        out.append(Matrix.from_entries(M.H.field, N.dim, M.dim, entries))
-    return out
+    entries = [{} for _ in range(basis.ncols)]
+    for flat, c, v in basis.nonzero_items():
+        entries[c][divmod(flat, M.dim)] = v
+    return [Matrix.from_entries(M.H.field, N.dim, M.dim, e) for e in entries]
 
 
 def lambda_transform(H: HopfAlgebra, word, side: str) -> Morphism:

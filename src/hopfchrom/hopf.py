@@ -91,6 +91,8 @@ class HopfAlgebra:
         self.name = name
         self._antipode_sq = None
         self._integral_data = None  # integrals.normalized_pair's verified result
+        self._modules = {}  # hmod's regular, trivial and alpha modules, built once
+        self._generators = None
         self._left_mult = [None] * dim
         self._right_mult = [None] * dim
 
@@ -135,6 +137,29 @@ class HopfAlgebra:
                 for k, c in row[j].items():
                     out[k] = f.add(out[k], f.mul(xy, c))
         return out
+
+    def algebra_generators(self) -> tuple:
+        """Basis indices whose elements generate H as an algebra, found on first
+        use and kept.  A greedy pass keeps ``e_k`` when it enlarges the span of
+        the words in the kept elements, closes that span under left
+        multiplication by them, and stops at rank ``dim``, which certifies the
+        set.  A map that commutes with these elements commutes with H.
+        """
+        if self._generators is None:
+            f, gens, span = self.field, [], [self.unit_vector()]
+            for k in range(self.dim):
+                if len(span) == self.dim or \
+                        Matrix.from_rows(f, span + [self.basis_vector(k)]).rank() == len(span):
+                    continue
+                gens.append(k)
+                while True:  # close the span under left multiplication by gens
+                    R, rank, _ = Matrix.from_rows(f, span + [
+                        self.left_mult_matrix(g).apply(v) for g in gens for v in span]).rref()
+                    if rank == len(span):
+                        break
+                    span = [R.row_list(i) for i in range(rank)]
+            self._generators = tuple(gens)
+        return self._generators
 
     def counit_apply(self, a: list):
         return pairing(self.field, list(self.counit), a)

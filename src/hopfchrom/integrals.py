@@ -10,7 +10,6 @@ distinguished grouplike a of H by lambda(h_(2)) h_(1) = lambda(h) a.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .fields import (
@@ -261,28 +260,16 @@ def _quadratic_roots(field: Field, c0, c1, c2):
             ]
             return roots, True
         return [], False
-    if isinstance(field, RationalField):
-        disc = c1 * c1 - 4 * c2 * c0
-        if disc < 0:
-            return [], True
-        rt = _rational_is_square(disc)
-        if rt is None:
-            return [], True  # no rational roots, and Q-search is exhaustive
-        roots = sorted({(-c1 + rt) / (2 * c2), (-c1 - rt) / (2 * c2)})
-        return list(roots), True
-    if isinstance(field, CyclotomicField):
-        # solvable here only when the polynomial has rational coefficients
-        consts = []
-        for c in (c0, c1, c2):
-            if any(x != Fraction(0) for x in c[1:]):
+    if isinstance(field, (RationalField, CyclotomicField)):
+        cyc = isinstance(field, CyclotomicField)
+        if cyc:  # solvable here only when the polynomial has rational coefficients
+            if any(x != 0 for c in (c0, c1, c2) for x in c[1:]):
                 return [], False
-            consts.append(c[0])
-        q0, q1, q2 = consts
-        disc = q1 * q1 - 4 * q2 * q0
-        rt = _rational_is_square(disc) if disc >= 0 else None
-        if rt is None:
-            return [], False  # roots may exist beyond Q inside the field
-        roots = sorted({(-q1 + rt) / (2 * q2), (-q1 - rt) / (2 * q2)})
+            c0, c1, c2 = c0[0], c1[0], c2[0]
+        rt = _rational_is_square(c1 * c1 - 4 * c2 * c0)
+        if rt is None:  # no rational root: the search is exhaustive over Q only
+            return [], not cyc
+        roots = sorted({(-c1 + rt) / (2 * c2), (-c1 - rt) / (2 * c2)})
         return [field.coerce(r) for r in roots], True
     return [], False
 
@@ -404,15 +391,9 @@ def pivot_candidates(H: HopfAlgebra):
             f"pivot search inconclusive for {H.name}: dim V = {d} over {f.spec}"
         )
 
-    def sort_key(pos, v):
-        if v == H.unit_vector():
-            return (0, 0)
-        for i in range(H.dim):
-            if v == H.basis_vector(i):
-                return (1, i)
-        return (2, pos)
-
-    found = [v for _, v in sorted((sort_key(p, v), v) for p, v in enumerate(found))]
+    # the unit first, then basis vectors in basis order, then the rest as found
+    fixed = [H.unit_vector()] + [H.basis_vector(i) for i in range(H.dim)]
+    found.sort(key=lambda v: fixed.index(v) if v in fixed else len(fixed))
     return [PivotData(g=v) for v in found]
 
 

@@ -1,8 +1,9 @@
 """Exact dense linear algebra over a Field: RREF, nullspace, solve, Kronecker.
 
 ``Matrix.kron`` builds a Kronecker product; ``Matrix.kron_apply`` applies one
-without building it, as ``(I kron A kron I) @ B`` on the rows of ``B``.  Both
-use the same row-major flat indexing of tensor legs.
+without building it, as ``I kron A kron I`` on each row of a block ``B``
+(``B @ (I kron A kron I)^T``).  Both use the same row-major flat indexing of
+tensor legs.
 
 Matrices have dense semantics (every entry addressable, shapes fixed) but are
 held sparsely as one ``{col: payload}`` dict per row; only nonzero payloads
@@ -96,16 +97,7 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, field: Field, columns) -> "Matrix":
-        cols = [[field.coerce(v) for v in col] for col in columns]
-        nrows = len(cols[0]) if cols else 0
-        rows = [dict() for _ in range(nrows)]
-        for j, col in enumerate(cols):
-            if len(col) != nrows:
-                raise ShapeError("ragged columns")
-            for i, v in enumerate(col):
-                if v != field.zero:
-                    rows[i][j] = v
-        return cls(field, nrows, len(cols), rows)
+        return cls.from_rows(field, columns).transpose()
 
     @classmethod
     def combination(cls, field: Field, nrows: int, ncols: int, terms) -> "Matrix":
@@ -291,47 +283,40 @@ class Matrix:
         return Matrix(f, self.nrows * rb, self.ncols * cb, rows)
 
     def kron_apply(self, block: "Matrix", outer: int, inner: int) -> "Matrix":
-        """``(I_outer kron self kron I_inner) @ block``, never forming the product.
+        """Each row of ``block`` sent through ``I_outer kron self kron I_inner``,
+        never forming the product: ``block @ (I_outer kron self kron I_inner)^T``.
 
-        Row ``(o*ncols + k)*inner + t`` of ``block`` is sent to the rows
-        ``(o*nrows + i)*inner + t`` with coefficient ``self[i, k]``: the same
-        row-major flat indexing as :meth:`kron`.  Only the nonzero rows of
-        ``block`` are visited, so the cost follows nnz(block), not the side
-        of the Kronecker product.
+        Entry ``(o*ncols + k)*inner + t`` of a row adds ``self[i, k]`` times
+        itself to entry ``(o*nrows + i)*inner + t`` of its image: the same
+        row-major flat indexing as :meth:`kron`.  A block holds one sparse row
+        per vector, so time and memory follow nnz(block), not the side of the
+        Kronecker product.
         """
         self._check_peer(block)
         ra, ca = self.nrows, self.ncols
-        if block.nrows != outer * ca * inner:
+        if block.ncols != outer * ca * inner:
             raise ShapeError(
                 f"kron_apply of {self.shape} between I_{outer} and I_{inner} "
-                f"to {block.shape}")
+                f"to the rows of {block.shape}")
         f = self.field
         mul, add, zero = f.mul, f.add, f.zero
-        by_col = [[] for _ in range(ca)]  # k -> [(i, self[i, k])]
+        by_col = [[] for _ in range(ca)]  # k -> [(i * inner, self[i, k])]
         for i, arow in enumerate(self._rows):
             for k, a in arow.items():
-                by_col[k].append((i, a))
+                by_col[k].append((i * inner, a))
         src_stride, dst_stride = ca * inner, ra * inner
-        rows = [{} for _ in range(outer * dst_stride)]
-        for r, brow in enumerate(block._rows):
-            if not brow:
-                continue
-            o, rest = divmod(r, src_stride)
-            k, t = divmod(rest, inner)
-            base = o * dst_stride + t
-            for i, a in by_col[k]:
-                acc = rows[base + i * inner]
-                for j, b in brow.items():
-                    v = mul(a, b)
-                    if j in acc:
-                        s = add(acc[j], v)
-                        if s == zero:
-                            del acc[j]
-                        else:
-                            acc[j] = s
-                    elif v != zero:
-                        acc[j] = v
-        return Matrix(f, outer * dst_stride, block.ncols, rows)
+        rows = []
+        for brow in block._rows:
+            acc: dict = {}
+            for r, b in brow.items():
+                o, rest = divmod(r, src_stride)
+                k, t = divmod(rest, inner)
+                base = o * dst_stride + t
+                for di, a in by_col[k]:
+                    j, v = base + di, mul(a, b)
+                    acc[j] = add(acc[j], v) if j in acc else v
+            rows.append({j: v for j, v in acc.items() if v != zero})
+        return Matrix(f, block.nrows, outer * dst_stride, rows)
 
     # -- elimination ---------------------------------------------------------
     def rref(self):

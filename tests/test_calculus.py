@@ -245,7 +245,11 @@ def test_expr_builds_each_dual_once(monkeypatch, capsys):
 def test_dual_module_is_shared_while_in_use(h4):
     import weakref
 
-    G = regular_module(h4)
+    from hopfchrom import HModule
+
+    # a module of its own: regular_module(h4) is kept on h4, and a hypothesis
+    # strategy cached by an earlier test may still hold that module's dual
+    G = HModule(h4, h4.dim, regular_module(h4).action, "H")
     for side in ("left", "right"):
         assert dual_module(G, side) is dual_module(G, side)
     assert dual_module(G, "left") is not dual_module(G, "right")

@@ -338,8 +338,9 @@ def test_larger_taft_instances_out_of_corpus():
 ])
 def test_check_composites_match_kronecker_reference(argv, sides, capsys, monkeypatch):
     """Every composite that ``check`` evaluates, in the grid and in the
-    retracts, equals the Kronecker-product reference exactly."""
-    evaluate = chromatic_mod.evaluate
+    retracts, equals the Kronecker-product reference exactly, and so does
+    every block of generator columns that decides an X = H row."""
+    evaluate, evaluate_rows = chromatic_mod.evaluate, chromatic_mod.evaluate_rows
     seen = []
 
     def compared(expr):
@@ -349,7 +350,14 @@ def test_check_composites_match_kronecker_reference(argv, sides, capsys, monkeyp
         seen.append(expr)
         return got
 
+    def compared_rows(expr, vectors):
+        got = evaluate_rows(expr, vectors)
+        assert got == (kron_evaluate(expr).matrix @ vectors.transpose()).transpose()
+        seen.append(expr)
+        return got
+
     monkeypatch.setattr(chromatic_mod, "evaluate", compared)
+    monkeypatch.setattr(chromatic_mod, "evaluate_rows", compared_rows)
     main(["check", *argv, "--json"])
     grid = json.loads(capsys.readouterr().out)["grid"]
     assert {row["side"] for row in grid} == sides
@@ -362,23 +370,27 @@ def test_evaluate_builds_no_kronecker_product(t3, monkeypatch):
     G = regular_module(t3)
     fam = split_idempotent(right_mult_idempotent(t3))
     maps = {"left": chromatic_left_hopf(t3), "right": chromatic_right_hopf(t3)}
-    evaluate, kron = chromatic_mod.evaluate, Matrix.kron
+    kron = Matrix.kron
     inside = []
     calls = {"inside": 0, "outside": 0, "evaluate": 0}
 
-    def tracked_evaluate(expr):
-        calls["evaluate"] += 1
-        inside.append(True)
-        try:
-            return evaluate(expr)
-        finally:
-            inside.pop()
+    def tracked(evaluator):
+        def run(*args):
+            calls["evaluate"] += 1
+            inside.append(True)
+            try:
+                return evaluator(*args)
+            finally:
+                inside.pop()
+        return run
 
     def tracked_kron(self, other):
         calls["inside" if inside else "outside"] += 1
         return kron(self, other)
 
-    monkeypatch.setattr(chromatic_mod, "evaluate", tracked_evaluate)
+    # the full composite and the generator columns at X = H alike
+    for name in ("evaluate", "evaluate_rows"):
+        monkeypatch.setattr(chromatic_mod, name, tracked(getattr(chromatic_mod, name)))
     monkeypatch.setattr(Matrix, "kron", tracked_kron)
     for side, c in maps.items():
         for c_P in (c, chromatic_retract(c, fam)):
@@ -406,23 +418,37 @@ def test_chromatic_api_takes_only_the_map():
 ])
 def test_check_runs_each_intertwiner_check_once(argv, checks, capsys, monkeypatch):
     """The constructors and the retract family check H-linearity; a retract,
-    built from those checked parts, runs no check of its own."""
+    built from those checked parts, runs no check of its own.  The checks
+    that ``verify_chromatic_identity`` runs on the factors of an X = H
+    composite, to decide it on generator columns, are not counted."""
     import sys
 
+    import hopfchrom.cli as cli_module
     import hopfchrom.hmod as hmod_module
 
     calls = []
+    inside = []
     orig = hmod_module.is_h_linear
+    verify = cli_module.verify_chromatic_identity
 
     def counted(mor):
-        calls.append(mor)
+        if not inside:
+            calls.append(mor)
         return orig(mor)
+
+    def verified(c, X):
+        inside.append(True)
+        try:
+            return verify(c, X)
+        finally:
+            inside.pop()
 
     for modname, mod in list(sys.modules.items()):
         if modname.startswith("hopfchrom") and mod is not None:
             for key, value in list(vars(mod).items()):
                 if value is orig:
                     monkeypatch.setattr(mod, key, counted)
+    monkeypatch.setattr(cli_module, "verify_chromatic_identity", verified)
     main(["check", *argv])
     capsys.readouterr()
     assert len(calls) == checks
@@ -447,3 +473,71 @@ def test_chromatic_map_rejects_bad_side_or_pivot(z2):
         replace(chromatic_spherical(z2, pivot), pivot=None)
     with pytest.raises(ValueError, match="left chromatic map takes no pivot"):
         replace(c, pivot=pivot)
+
+
+@pytest.mark.parametrize("argv, kron_reference", [
+    (["--builtin", "taft:3", "--field", "GF:7"], True),
+    (["--builtin", "group:S3"], True),
+    # a Kronecker reference at 27^4 would hold about 12 million entries, so the
+    # block is compared with the columns of the full evaluation instead
+    (["--builtin", "uqsl2:3", "--field", "GF:7"], False),
+])
+def test_generator_columns_decide_each_regular_row_as_all_columns_do(
+        argv, kron_reference, capsys, monkeypatch):
+    """Every X = H row of ``check`` is decided on dim P generator columns, which
+    give the same verdict as every column and the same block as the
+    composite's own columns there."""
+    evaluate, evaluate_rows = chromatic_mod.evaluate, chromatic_mod.evaluate_rows
+    decided = []
+
+    def compared_rows(expr, vectors):
+        got = evaluate_rows(expr, vectors)
+        full = (kron_evaluate(expr) if kron_reference else evaluate(expr)).matrix
+        assert got == (full @ vectors.transpose()).transpose()
+        assert (got == vectors) == (full == Matrix.identity(full.field, full.ncols))
+        decided.append(vectors.nrows)
+        return got
+
+    monkeypatch.setattr(chromatic_mod, "evaluate_rows", compared_rows)
+    assert main(["check", *argv, "--json"]) == 0
+    rows = [r for r in json.loads(capsys.readouterr().out)["grid"] if r["X"] == "H"]
+    assert decided == [r["columns"] for r in rows]
+    n = max(decided)  # dim H, the columns of the P = H rows
+    for r in rows:
+        assert r["equal"] and r["identity_dim"] == n * r["columns"]
+
+
+def test_bumped_map_fails_h_linearity_and_is_decided_on_every_column(t3, monkeypatch):
+    G = regular_module(t3)
+    c = chromatic_left_hopf(t3)
+    assert verify_chromatic_identity(c, G).columns == 9
+    bumped = replace(c, matrix=c.matrix + Matrix.from_entries(
+        t3.field, 81, 81, {(0, 40): t3.field.one}))
+    assert not is_h_linear(bumped)
+    reduced = []
+    monkeypatch.setattr(chromatic_mod, "evaluate_rows",
+                        lambda expr, vectors: reduced.append(expr))
+    rep = verify_chromatic_identity(bumped, G)
+    assert reduced == []
+    assert rep.columns == rep.identity_dim == 81
+    assert not rep.equal and rep.mismatch is not None
+
+
+def test_regular_row_memory_follows_generator_columns():
+    """One X = H row of taft:5 over GF(11), whose four-leg words have 25^4
+    rows, peaked at 62.7 MB of traced allocations when the composite was
+    applied to all 625 columns with one dict per word row, and at 1.3 MB on
+    the 25 generator columns with one sparse row per column."""
+    import tracemalloc
+
+    H = _make_builtin("taft:5", _parse_field("GF:11"))
+    c, G = chromatic_right_hopf(H), regular_module(H)
+    verify_chromatic_identity(c, G)  # the duals, generators and Lambda once
+    tracemalloc.start()
+    try:
+        rep = verify_chromatic_identity(c, G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.equal and rep.columns == 25
+    assert peak < 8 * 2 ** 20

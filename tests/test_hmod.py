@@ -209,3 +209,21 @@ def test_lambda_naturality_word_typed(h4):
             lhs = evaluate(compose(Fmor, Prim(lam_m_r)))
             rhs = evaluate(compose(Prim(lam_n_r), tensor(identity((alpha,)), Fmor)))
             assert lhs.matrix == rhs.matrix
+
+
+def test_hom_space_on_generators_matches_the_all_basis_stack(corpus):
+    """The generator blocks alone leave the same kernel, so the canonical
+    nullspace basis is byte-identical to the one from every basis element."""
+    from hopfchrom.linalg import stacked_nullspace
+
+    for H in corpus:
+        G, T = regular_module(H), trivial_module(H)
+        mods = [G, T, alpha_module(H), dual_module(G, "left"), tensor_module(T, G)]
+        for M in mods:
+            for N in mods:
+                f = H.field
+                id_m, id_n = Matrix.identity(f, M.dim), Matrix.identity(f, N.dim)
+                full = stacked_nullspace([rn.kron(id_m) - id_n.kron(rm.transpose())
+                                          for rn, rm in zip(N.action, M.action)])
+                assert hom_space(M, N) == full, (H.name, M.label, N.label)
+                assert len(hom_basis(M, N)) == full.ncols

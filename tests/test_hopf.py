@@ -248,3 +248,31 @@ def test_axiom_suite_builds_nothing_above_n_cubed(monkeypatch):
     monkeypatch.setattr(linalg_module, "permutation_matrix", forbidden)
     hopf_make(H.field, H.basis_names, **terms(t))
     assert sides and max(sides) == H.dim ** 3
+
+
+@pytest.mark.parametrize("name, field, gens", [
+    ("taft:5", "GF:11", (1, 5)),
+    ("uqsl2:3", "GF:7", (1, 3, 9)),
+    ("group:S3", "Q", (1, 2)),
+    ("sweedler", "Q", (1, 2)),
+    ("dualgroup:S3", "Q", (0, 1, 2, 3, 4)),
+])
+def test_algebra_generators_close_to_h(name, field, gens):
+    """The greedy generating set, and the span of its words, recomputed here
+    with plain products and a loop-based rank, is all of H."""
+    from helpers import _naive_rank
+
+    from hopfchrom.cli import _make_builtin, _parse_field
+
+    H = _make_builtin(name, _parse_field(field))
+    assert H.algebra_generators() == gens
+    assert H.algebra_generators() is H.algebra_generators()  # found once, kept
+    words, layer = [H.unit_vector()], [H.unit_vector()]
+    while layer:  # words one generator longer, kept when they raise the rank
+        new = []
+        for w in (H.multiply(H.basis_vector(g), v) for g in gens for v in layer):
+            if _naive_rank(H.field, words + [w]) > len(words):
+                words.append(w)
+                new.append(w)
+        layer = new
+    assert len(words) == H.dim

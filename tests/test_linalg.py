@@ -178,9 +178,9 @@ def test_kron_apply_matches_kronecker_product(data):
     dims = st.integers(min_value=1, max_value=3)
     outer, inner, ra, ca, width = (data.draw(dims) for _ in range(5))
     A = rand_matrix(data.draw, ra, ca, f)
-    B = rand_matrix(data.draw, outer * ca * inner, width, f)
+    B = rand_matrix(data.draw, width, outer * ca * inner, f)  # one vector per row
     full = Matrix.identity(f, outer).kron(A).kron(Matrix.identity(f, inner))
-    assert A.kron_apply(B, outer, inner) == full @ B
+    assert A.kron_apply(B, outer, inner) == B @ full.transpose()
 
 
 def _scale_and_add(field, nrows, ncols, terms):
