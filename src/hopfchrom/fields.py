@@ -4,8 +4,10 @@ A scalar is a raw payload interpreted by a Field context:
 
   * rationals    -- ``fractions.Fraction`` (auto-reduced, positive denominator)
   * prime-field  -- ``int`` residue in ``[0, p)``
-  * cyclotomic   -- ``tuple[Fraction, ...]`` of length phi(n), coefficients of
-                    ``1, z, z^2, ...`` modulo the n-th cyclotomic polynomial
+  * cyclotomic   -- ``tuple[int, ...]`` ``(c_0, ..., c_{d-1}, den)`` with
+                    d = phi(n): the element ``sum c_i z^i / den`` reduced
+                    modulo the n-th cyclotomic polynomial, with ``den > 0``
+                    and no common factor among ``den, c_0, ..., c_{d-1}``
 
 All payloads are canonical by construction, so ``==`` on payloads decides
 equality of scalars of a common field.
@@ -30,9 +32,9 @@ __all__ = [
     "primitive_root_of_unity",
 ]
 
-# Largest cyclotomic conductor, checked before Phi_n is built (field_make took
-# 0.07 s at n = 1,000 and 29 s at n = 20,000 on a 2-core Xeon); every builtin
-# within hopf.MAX_DIM needs a root of unity of order at most 8.
+# Largest cyclotomic conductor, checked before Phi_n is built (its first build
+# took 0.04 s at n = 1,000 and 21 s at n = 20,000 on a 2-core Xeon); every
+# builtin within hopf.MAX_DIM needs a root of unity of order at most 8.
 MAX_CONDUCTOR = 1000
 
 
@@ -249,23 +251,23 @@ def _euler_phi(n: int) -> int:
     return phi
 
 
-def _cyclotomic_polynomial(n: int) -> list[int]:
-    """Integer coefficient list of Phi_n, low degree first."""
-    # Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d, exact division over Z
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d:
-            continue
-        phi_d = _cyclotomic_polynomial._cache.setdefault(d, _cyclotomic_polynomial(d))
-        poly = _int_poly_div(poly, phi_d)
-    _cyclotomic_polynomial._cache[n] = poly
+_PHI_CACHE: dict[int, tuple[int, ...]] = {}
+
+
+def _cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_n, low degree first; built once per n."""
+    poly = _PHI_CACHE.get(n)
+    if poly is None:
+        # Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d, exact division over Z
+        poly = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                poly = _int_poly_div(poly, _cyclotomic_polynomial(d))
+        poly = _PHI_CACHE[n] = tuple(poly)
     return poly
 
 
-_cyclotomic_polynomial._cache = {}
-
-
-def _int_poly_div(num: list[int], den: list[int]) -> list[int]:
+def _int_poly_div(num: list[int], den: tuple[int, ...]) -> list[int]:
     # exact division of integer polynomials, den monic up to sign
     num = list(num)
     out = [0] * (len(num) - len(den) + 1)
@@ -282,7 +284,14 @@ def _int_poly_div(num: list[int], den: list[int]) -> list[int]:
 
 
 class CyclotomicField(Field):
-    """Q(zeta_n) with elements reduced modulo the n-th cyclotomic polynomial."""
+    """Q(zeta_n) with elements reduced modulo the n-th cyclotomic polynomial.
+
+    A payload is the int tuple ``(c_0, ..., c_{d-1}, den)`` for the element
+    ``sum c_i zeta^i / den``, with ``den > 0`` and
+    ``gcd(den, c_0, ..., c_{d-1}) = 1``.  Phi_n is monic, so reducing an
+    integer polynomial by it keeps integer coefficients, and each result
+    needs one content gcd.
+    """
 
     def __init__(self, n: int):
         if not isinstance(n, int) or n < 1:
@@ -290,55 +299,78 @@ class CyclotomicField(Field):
         if n > MAX_CONDUCTOR:
             raise FieldError(f"conductor {n} is above the bound of {MAX_CONDUCTOR}")
         self.n = n
-        self.degree = _euler_phi(n)
-        # monic modulus as Fractions, low degree first, without the leading 1
-        poly = _cyclotomic_polynomial(n)
-        assert len(poly) == self.degree + 1 and poly[-1] == 1
-        self._modulus_tail = tuple(Fraction(c) for c in poly[:-1])
+        self.degree = d = _euler_phi(n)
+        self._modulus = _cyclotomic_polynomial(n)
+        assert len(self._modulus) == d + 1 and self._modulus[-1] == 1
+        # (j, c_j) for the nonzero terms of Phi_n below the leading one
+        self._tail = tuple((j, c) for j, c in enumerate(self._modulus[:-1]) if c)
         self.spec = FieldSpec("cyclotomic", n=n)
-        self.zero = tuple([Fraction(0)] * self.degree)
-        self.one = self._const(Fraction(1))
-        self.zeta = self._reduce([Fraction(0), Fraction(1)])
+        self.zero = (0,) * d + (1,)
+        self.one = self.from_int(1)
+        self.zeta = self._reduce([0, 1], 1)
 
-    def _const(self, c: Fraction):
-        v = [Fraction(0)] * self.degree
-        v[0] = c
-        return tuple(v)
-
-    def _reduce(self, coeffs: list[Fraction]):
-        coeffs = list(coeffs)
-        if len(coeffs) < self.degree:
-            coeffs += [Fraction(0)] * (self.degree - len(coeffs))
-        for i in range(len(coeffs) - 1, self.degree - 1, -1):
-            c = coeffs[i]
+    def _reduce(self, nums: list[int], den: int):
+        """Canonical payload of ``sum nums[i] zeta^i / den``; ``nums`` is
+        consumed."""
+        d = self.degree
+        tail = self._tail
+        for i in range(len(nums) - 1, d - 1, -1):
+            c = nums[i]
             if c:
-                for j, m in enumerate(self._modulus_tail):
-                    coeffs[i - self.degree + j] -= c * m
-            coeffs.pop()
-        return tuple(coeffs)
+                base = i - d
+                for j, m in tail:
+                    nums[base + j] -= c * m
+        del nums[d:]
+        nums += [0] * (d - len(nums))
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        nums.append(den)
+        return tuple(nums)
+
+    def _from_fractions(self, coeffs):
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return self._reduce([c.numerator * (den // c.denominator) for c in coeffs], den)
+
+    def rational(self, a) -> Fraction | None:
+        """``a`` as a rational number, or None when it is not in Q."""
+        if any(a[1:-1]):
+            return None
+        return Fraction(a[0], a[-1])
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        da, db = a[-1], b[-1]
+        if da == db:
+            nums = [x + y for x, y in zip(a[:-1], b[:-1])]
+            if da == 1:
+                nums.append(1)
+                return tuple(nums)
+            return self._reduce(nums, da)
+        return self._reduce([x * db + y * da for x, y in zip(a[:-1], b[:-1])], da * db)
 
     def neg(self, a):
-        return tuple(-x for x in a)
+        return tuple([-x for x in a[:-1]]) + a[-1:]
 
     def mul(self, a, b):
         d = self.degree
-        out = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(a):
+        out = [0] * (2 * d - 1)
+        for i in range(d):
+            x = a[i]
             if x:
-                for j, y in enumerate(b):
+                for j in range(d):
+                    y = b[j]
                     if y:
                         out[i + j] += x * y
-        return self._reduce(out)
+        return self._reduce(out, a[d] * b[d])
 
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("inversion of zero")
         # extended Euclid in Q[x] against the (irreducible) modulus
-        mod = list(self._modulus_tail) + [Fraction(1)]
-        r0, r1 = mod, list(a)
+        den = a[-1]
+        r0 = [Fraction(c) for c in self._modulus]
+        r1 = [Fraction(c, den) for c in a[:-1]]
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while any(r1):
             q, rem = _poly_divmod(_Q, r0, r1)
@@ -348,22 +380,23 @@ class CyclotomicField(Field):
         deg0 = _poly_deg(_Q, r0)
         assert deg0 == 0, "cyclotomic modulus is irreducible"
         c = r0[0]
-        return self._reduce([x / c for x in s0])
+        return self._from_fractions([x / c for x in s0])
 
     def from_int(self, k: int):
-        return self._const(Fraction(k))
+        return (k,) + (0,) * (self.degree - 1) + (1,)
 
     def coerce(self, v):
         if isinstance(v, tuple):
-            if len(v) != self.degree or not all(isinstance(x, Fraction) for x in v):
+            if (len(v) != self.degree + 1 or not all(type(x) is int for x in v)
+                    or v[-1] <= 0 or math.gcd(*v) != 1):
                 raise FieldError(f"bad cyclotomic payload {v!r} for {self.spec}")
             return v
         if isinstance(v, int):
-            return self.from_int(v)
+            return self.from_int(int(v))
         if isinstance(v, Fraction):
-            return self._const(v)
-        if isinstance(v, (list,)):
-            return self._reduce([Fraction(x) for x in v])
+            return self._from_fractions([v])
+        if isinstance(v, list):
+            return self._from_fractions([Fraction(x) for x in v])
         raise FieldError(f"cannot coerce {v!r} into {self.spec}")
 
     def parse(self, text: str):
@@ -378,10 +411,11 @@ class CyclotomicField(Field):
             raise FieldError(
                 f"coefficient list of length {len(coeffs)} exceeds degree {self.degree}"
             )
-        return self._reduce(coeffs)
+        return self._from_fractions(coeffs)
 
     def format(self, a) -> str:
-        return "[" + ",".join(str(c) for c in a) + "]"
+        den = a[-1]
+        return "[" + ",".join(str(Fraction(c, den)) for c in a[:-1]) + "]"
 
     def characteristic(self) -> int:
         return 0

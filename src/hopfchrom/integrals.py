@@ -263,9 +263,9 @@ def _quadratic_roots(field: Field, c0, c1, c2):
     if isinstance(field, (RationalField, CyclotomicField)):
         cyc = isinstance(field, CyclotomicField)
         if cyc:  # solvable here only when the polynomial has rational coefficients
-            if any(x != 0 for c in (c0, c1, c2) for x in c[1:]):
+            c0, c1, c2 = (field.rational(c) for c in (c0, c1, c2))
+            if None in (c0, c1, c2):
                 return [], False
-            c0, c1, c2 = c0[0], c1[0], c2[0]
         rt = _rational_is_square(c1 * c1 - 4 * c2 * c0)
         if rt is None:  # no rational root: the search is exhaustive over Q only
             return [], not cyc

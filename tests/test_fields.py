@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from hopfchrom import (
     field_make,
     primitive_root_of_unity,
 )
+from hopfchrom import fields
 
 
 def test_field_make_kinds(Q, F7, C4):
@@ -117,7 +120,8 @@ rationals = st.builds(
     st.integers(min_value=1, max_value=50),
 )
 residues = st.integers(min_value=0, max_value=6)
-cyc_payloads = st.lists(rationals, min_size=2, max_size=2).map(tuple)
+C4 = field_make(FieldSpec("cyclotomic", n=4))
+cyc_payloads = st.lists(rationals, min_size=2, max_size=2).map(C4.coerce)
 
 
 def _axiom_check(f, a, b, c):
@@ -146,7 +150,7 @@ def test_field_axioms_gf7(a, b, c):
 @settings(max_examples=40, deadline=None)
 @given(cyc_payloads, cyc_payloads, cyc_payloads)
 def test_field_axioms_cyclotomic(a, b, c):
-    _axiom_check(field_make(FieldSpec("cyclotomic", n=4)), a, b, c)
+    _axiom_check(C4, a, b, c)
 
 
 @settings(max_examples=40, deadline=None)
@@ -160,7 +164,130 @@ def test_parse_format_roundtrip_is_canonical(x):
 
 @settings(max_examples=40, deadline=None)
 @given(cyc_payloads)
-def test_cyclotomic_roundtrip(v):
-    C4 = field_make(FieldSpec("cyclotomic", n=4))
-    x = C4.coerce(list(v))
+def test_cyclotomic_roundtrip(x):
     assert C4.parse(C4.format(x)) == x
+
+
+# -- cyclotomic payloads against a Fraction-polynomial reference ---------------
+
+# Phi_n, low degree first, written out by hand
+PHI = {1: [-1, 1], 2: [1, 1], 3: [1, 1, 1], 4: [1, 0, 1], 5: [1, 1, 1, 1, 1],
+       8: [1, 0, 0, 0, 1], 12: [1, 0, -1, 0, 1]}
+
+
+def _ref_reduce(poly, phi):
+    d = len(phi) - 1
+    poly = [Fraction(c) for c in poly] + [Fraction(0)] * d
+    for i in range(len(poly) - 1, d - 1, -1):
+        c = poly[i]
+        for j in range(d + 1):
+            poly[i - d + j] -= c * phi[j]
+    return poly[:d]
+
+
+def _ref_mul(a, b, phi):
+    out = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_reduce(out, phi)
+
+
+def _ref_format(a):
+    return "[" + ",".join(str(c) for c in a) + "]"
+
+
+def _as_fractions(a):
+    return [Fraction(c, a[-1]) for c in a[:-1]]
+
+
+def _assert_canonical(F, a):
+    assert type(a) is tuple and len(a) == F.degree + 1
+    assert all(type(c) is int for c in a)
+    assert a[-1] > 0 and math.gcd(*a) == 1
+    assert any(a[:-1]) or a == F.zero
+
+
+@pytest.mark.parametrize("n", sorted(PHI))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_cyclotomic_scalars_match_fraction_reference(n, data):
+    F = field_make(FieldSpec("cyclotomic", n=n))
+    phi = PHI[n]
+    d = len(phi) - 1
+    assert F.degree == d
+    # unreduced coefficient lists, up to degree 2d - 2, some entries zero
+    coeffs = st.lists(st.one_of(st.just(Fraction(0)), rationals), max_size=2 * d - 1)
+    ra, rb = data.draw(coeffs), data.draw(coeffs)
+    a, b = F.coerce(ra), F.coerce(rb)
+    A, B = _ref_reduce(ra, phi), _ref_reduce(rb, phi)
+    zero, one = [Fraction(0)] * d, _ref_reduce([1], phi)
+
+    results = {
+        "a": (a, A),
+        "add": (F.add(a, b), [x + y for x, y in zip(A, B)]),
+        "neg": (F.neg(a), [-x for x in A]),
+        "mul": (F.mul(a, b), _ref_mul(A, B, phi)),
+        "cancel": (F.add(a, F.neg(a)), zero),
+        "parse": (F.parse(_ref_format(A)), A),
+    }
+    for name, (got, want) in results.items():
+        _assert_canonical(F, got)
+        assert _as_fractions(got) == want, name
+    assert F.format(a) == _ref_format(A)
+    assert F.parse(F.format(F.mul(a, b))) == F.mul(a, b)
+    if A != zero:
+        inv = F.inv(a)
+        _assert_canonical(F, inv)
+        assert _ref_mul(A, _as_fractions(inv), phi) == one
+    for x in (F.zero, F.one, F.zeta):
+        _assert_canonical(F, x)
+
+
+@pytest.mark.parametrize("payload", [
+    (1, 0, 0),              # zero denominator
+    (1, 0, -1),             # negative denominator
+    (2, 4, 2),              # common factor 2
+    (0, 0, 2),              # a second zero
+    (1, 0),                 # too short
+    (1, 0, 0, 1),           # too long
+    (True, 0, 1),           # bool entry
+    (1, 0, True),           # bool denominator
+    (Fraction(1), 0, 1),    # Fraction entry
+])
+def test_cyclotomic_coerce_rejects_noncanonical_payloads(payload):
+    with pytest.raises(FieldError):
+        C4.coerce(payload)
+
+
+def test_cyclotomic_format_with_denominators():
+    C3 = field_make(FieldSpec("cyclotomic", n=3))
+    C8 = field_make(FieldSpec("cyclotomic", n=8))
+    x = C8.coerce([Fraction(1, 2), 0, Fraction(-3, 4), 0])
+    assert x == (2, 0, -3, 0, 4)
+    assert C8.format(x) == "[1/2,0,-3/4,0]"
+    assert C8.parse("[2/4,0,-6/8]") == x
+    assert C8.format(C8.inv(C8.coerce([0, 2]))) == "[0,0,0,-1/2]"
+    assert C3.format(C3.coerce([Fraction(1, 3), Fraction(-2, 3), 1])) == "[-2/3,-5/3]"
+    assert C3.format(C3.coerce(Fraction(-6, 4))) == "[-3/2,0]"
+    assert C8.rational(C8.coerce(Fraction(3, 4))) == Fraction(3, 4)
+    assert C8.rational(C8.zeta) is None
+    _assert_canonical(C3, C3.coerce(True))
+
+
+def test_cyclotomic_polynomial_built_once_per_conductor(monkeypatch):
+    calls = []
+    real = fields._int_poly_div
+    monkeypatch.setattr(fields, "_PHI_CACHE", {})
+    monkeypatch.setattr(fields, "_int_poly_div",
+                        lambda num, den: calls.append(den) or real(num, den))
+
+    def divisors(m):
+        return [d for d in range(1, m + 1) if m % d == 0]
+
+    fields.CyclotomicField(360)
+    # Phi_d for each d | 360, each divided once by every Phi_e with e | d, e < d
+    assert len(calls) == sum(len(divisors(d)) - 1 for d in divisors(360))
+    calls.clear()
+    fields.CyclotomicField(360)
+    assert calls == []

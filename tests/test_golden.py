@@ -42,6 +42,9 @@ CASES = {
     "verify-sweedler-file": ["verify", SWEEDLER_FILE],
     "integrals-sweedler-file": ["integrals", SWEEDLER_FILE],
     "integrals-taft4-cyc8": ["integrals", "--builtin", "taft:4", "--field", "Cyc:8"],
+    "check-taft3-cyc3": ["check", "--builtin", "taft:3", "--field", "Cyc:3"],
+    "chromatic-left-taft3-cyc3": ["chromatic", "--builtin", "taft:3", "--field", "Cyc:3",
+                                  "--side", "left"],
     "verify-uqsl2-3-gf7": ["verify", "--builtin", "uqsl2:3", "--field", "GF:7"],
     "integrals-dualgroup-Z3": ["integrals", "--builtin", "dualgroup:Z3"],
     "check-expr-left-z2": ["check", "--builtin", "group:Z2", "--expr", README_LEFT_IDENTITY,
