@@ -49,7 +49,6 @@ __all__ = [
     "tensor",
     "evaluate",
     "evaluate_rows",
-    "primitives",
     "morphisms_equal",
     "ExprSyntaxError",
     "ExprEnv",
@@ -241,15 +240,6 @@ def evaluate(expr: MorphismExpr) -> Morphism:
     return Morphism(expr.source_word(), expr.target_word(), images.transpose())
 
 
-def primitives(expr: MorphismExpr):
-    """The morphisms at the ``Prim`` leaves of a tree, left to right."""
-    if isinstance(expr, Prim):
-        yield expr.morphism
-    elif isinstance(expr, (Compose, Tensor)):
-        yield from primitives(expr.f)
-        yield from primitives(expr.g)
-
-
 def morphisms_equal(f: Morphism, g: Morphism) -> bool:
     """Exact equality; requires identical source and target words."""
     if not words_match(f.source, g.source) or not words_match(f.target, g.target):
@@ -334,8 +324,9 @@ class ExprEnv:
         raise ExprSyntaxError(f"unknown module {name!r}")
 
     def primitive(self, name: str, mods: list[HModule]) -> MorphismExpr:
-        """The named primitive; an evaluation or Lambda-transformation is
-        checked H-linear here, a chromatic map where it is built."""
+        """The named primitive.  A chromatic map is checked H-linear where it
+        is built; an evaluation or Lambda-transformation is not checked, being
+        a structure morphism, H-linear by the rule stated in ``hmod``."""
         hm = self._hmod
         if name == "id":
             return Ident(tuple(mods))
@@ -357,9 +348,6 @@ class ExprEnv:
             mor = hm.lambda_transform(self.H, tuple(mods), side)
         else:
             raise ExprSyntaxError(f"unknown primitive {name!r}")
-        if not hm.is_h_linear(mor):
-            raise hm.ModuleAxiomError(
-                f"{name}({', '.join(m.label for m in mods)}) is not H-linear")
         return Prim(mor)
 
 

@@ -13,12 +13,17 @@ Left duals act by ``transpose(rho(S(h)))``, right duals by
 The regular, trivial and alpha modules are built once per algebra and kept on
 it, so every caller shares them (and whichever of their duals is in use).
 
-Verification policy (here and in ``chromatic``): structure morphisms and the
-standard modules are built unchecked; every entry point for outside names or
-data always checks: ``module_make`` the action axioms, ``ExprEnv.primitive``
-the one morphism it returns, the chromatic constructors, ``split_idempotent`` and
-``RetractFamily.make`` H-linearity.  ``chromatic_retract`` builds from these
-checked parts, and no function has a switch that turns a check off.
+Verification policy (here and in ``chromatic``): a morphism built here from
+H's verified data is H-linear by an identity of H checked once per algebra:
+ev and coev by the antipode axiom (``hopf_make``), the pivot-twisted coev~ by
+the pivot conditions (a ``ChromaticMap`` rejects a pivot that fails them), the
+Lambda-transformations by the certificate of ``normalized_pair``.  So these are
+built unchecked, and ``is_h_linear`` runs only on maps made from data:
+``module_make`` checks the action axioms, and the chromatic constructors,
+``split_idempotent``, ``RetractFamily.make`` and, before an X = H row is decided
+on generator columns, ``verify_chromatic_identity`` H-linearity.
+``chromatic_retract`` builds from checked parts, and no function has a switch
+that turns a check off.
 """
 
 from __future__ import annotations

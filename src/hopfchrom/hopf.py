@@ -252,15 +252,6 @@ class HopfAlgebra:
             self.antipode_inverse().nonzero_items(), name=name or f"cop({self.name})",
         )
 
-    def op(self, name: str | None = None) -> "HopfAlgebra":
-        """H with opposite product and antipode ``S^{-1}``."""
-        return hopf_make(
-            self.field, self.basis_names,
-            [(j, i, k, c) for i, j, k, c in _mult_terms(self.mult)], self.unit,
-            _comult_terms(self.comult), self.counit,
-            self.antipode_inverse().nonzero_items(), name=name or f"op({self.name})",
-        )
-
     # -- predicates ------------------------------------------------------------
     def is_grouplike(self, a: list) -> bool:
         """Exactly ``Delta(a) = a ox a`` and ``eps(a) = 1``."""

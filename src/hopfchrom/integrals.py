@@ -153,6 +153,23 @@ def _check_integral_invariants(H: HopfAlgebra, data: IntegralData):
                 raise HopfDataError(f"alpha multiplicativity fails at ({i},{j})")
     if not H.is_grouplike(a):
         raise HopfDataError("distinguished element a is not grouplike")
+    _check_lambda_certificate(H, Lam, alpha)
+
+
+def _check_lambda_certificate(H: HopfAlgebra, Lam: list, alpha: list):
+    """The Lambda-transformations x ox 1 -> T x, T = S^{-1}(Lambda), and 1 ox x ->
+    S(Lambda) x are H-linear on every X iff T phi(h) = h T, phi(h) = h_(1) alpha(h_(2)),
+    and S(Lambda) phi'(h) = h S(Lambda), phi'(h) = alpha(h_(1)) h_(2) (Radford,
+    *Hopf Algebras*, 2012, ch. 10); both sides are linear in h, so the basis decides.
+    Given h Lambda = eps(h) Lambda, both reduce to Lambda S(h) = alpha(h) Lambda."""
+    T, U = H.antipode_inverse_apply(Lam), H.antipode_apply(Lam)
+    for i in range(H.dim):
+        e = H.basis_vector(i)
+        phi_right, phi_left = _lambda_legs(H, alpha, i)
+        if H.multiply(T, phi_left) != H.multiply(e, T):
+            raise HopfDataError(f"left Lambda-transformation is not H-linear at basis {i}")
+        if H.multiply(U, phi_right) != H.multiply(e, U):
+            raise HopfDataError(f"right Lambda-transformation is not H-linear at basis {i}")
 
 
 def normalized_pair(H: HopfAlgebra) -> IntegralData:

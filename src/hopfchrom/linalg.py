@@ -23,7 +23,6 @@ __all__ = [
     "ShapeError",
     "SingularMatrixError",
     "NoSolutionError",
-    "permutation_matrix",
     "sparse_sum",
     "stacked_nullspace",
 ]
@@ -436,12 +435,3 @@ def sparse_sum(field: Field, terms) -> dict:
         acc[key] = add(acc[key], v) if key in acc else v
     zero = field.zero
     return {key: v for key, v in acc.items() if v != zero}
-
-
-def permutation_matrix(field: Field, images: list[int]) -> Matrix:
-    """Matrix sending basis vector ``j`` to basis vector ``images[j]``."""
-    n = len(images)
-    rows = [dict() for _ in range(n)]
-    for j, i in enumerate(images):
-        rows[i][j] = field.one
-    return Matrix(field, n, n, rows)

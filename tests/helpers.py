@@ -8,7 +8,8 @@ comultiplication-algebra-map sides, the reference for the contraction in
 ``integrals._pivot_condition_failures``, the right chromatic map
 transported from the left map of H^cop, the reference for
 ``chromatic_right_hopf``, and the iterated coproduct expanded on the last
-leg, the reference for ``HopfAlgebra.coproduct_iter``."""
+leg, the reference for ``HopfAlgebra.coproduct_iter``, and the permutation
+matrices those references build."""
 
 from __future__ import annotations
 
@@ -16,7 +17,12 @@ from hopfchrom import HopfAlgebra, Matrix, Morphism, MorphismTypeError, normaliz
 from hopfchrom.calculus import Compose, Ident, Prim, Tensor
 from hopfchrom.hmod import word_dim, word_label, words_match
 from hopfchrom.hopf import pairing, vec_scale
-from hopfchrom.linalg import permutation_matrix
+
+
+def permutation_matrix(field, images: list[int]) -> Matrix:
+    """Matrix sending basis vector ``j`` to basis vector ``images[j]``."""
+    n = len(images)
+    return Matrix.from_entries(field, n, n, {(i, j): field.one for j, i in enumerate(images)})
 
 
 def kron_evaluate(expr) -> Morphism:

@@ -11,6 +11,7 @@ from hopfchrom import (
     Morphism,
     MorphismTypeError,
     NotSphericalError,
+    PivotData,
     RetractFamily,
     alpha_module,
     chromatic_left_hopf,
@@ -418,9 +419,9 @@ def test_chromatic_api_takes_only_the_map():
 ])
 def test_check_runs_each_intertwiner_check_once(argv, checks, capsys, monkeypatch):
     """The constructors and the retract family check H-linearity; a retract,
-    built from those checked parts, runs no check of its own.  The checks
-    that ``verify_chromatic_identity`` runs on the factors of an X = H
-    composite, to decide it on generator columns, are not counted."""
+    built from those checked parts, runs no check of its own.  The check
+    that ``verify_chromatic_identity`` runs on the chromatic map of an X = H
+    row, to decide it on generator columns, is not counted."""
     import sys
 
     import hopfchrom.cli as cli_module
@@ -464,7 +465,7 @@ def test_retracted_spherical_map_keeps_side_and_pivot(z2):
         assert rep["P"] == "split(H)" and rep["side"] == "spherical" and rep["equal"]
 
 
-def test_chromatic_map_rejects_bad_side_or_pivot(z2):
+def test_chromatic_map_rejects_bad_side_or_pivot(z2, z3):
     c = chromatic_left_hopf(z2)
     pivot = pivot_candidates(z2)[0]
     with pytest.raises(ValueError, match="side must be"):
@@ -473,6 +474,10 @@ def test_chromatic_map_rejects_bad_side_or_pivot(z2):
         replace(chromatic_spherical(z2, pivot), pivot=None)
     with pytest.raises(ValueError, match="left chromatic map takes no pivot"):
         replace(c, pivot=pivot)
+    # g of Z/3 is grouplike and conjugates S^2 = id, but g^2 != a = 1
+    with pytest.raises(NotSphericalError, match="not a pivot of group:Z3: fails unibalanced$"):
+        replace(chromatic_spherical(z3, pivot_candidates(z3)[0]),
+                pivot=PivotData(z3.basis_vector(1)))
 
 
 @pytest.mark.parametrize("argv, kron_reference", [
@@ -505,6 +510,27 @@ def test_generator_columns_decide_each_regular_row_as_all_columns_do(
     n = max(decided)  # dim H, the columns of the P = H rows
     for r in rows:
         assert r["equal"] and r["identity_dim"] == n * r["columns"]
+
+
+def test_regular_rows_check_only_their_chromatic_map(t3, z2, monkeypatch):
+    """An X = H row checks its chromatic map, and no other factor of its
+    composite, before it is decided on generator columns: the other factors
+    are structure morphisms, H-linear by identities checked once per algebra.
+    A row at any other X checks nothing."""
+    maps = [chromatic_left_hopf(t3), chromatic_right_hopf(t3),
+            chromatic_retract(chromatic_left_hopf(t3),
+                              split_idempotent(right_mult_idempotent(t3))),
+            chromatic_spherical(z2, pivot_candidates(z2)[1])]
+    checked = []
+    orig = chromatic_mod.is_h_linear
+    monkeypatch.setattr(chromatic_mod, "is_h_linear",
+                        lambda mor: checked.append(mor) or orig(mor))
+    for c in maps:
+        for X in (trivial_module(c.H), regular_module(c.H)):
+            checked.clear()
+            rep = verify_chromatic_identity(c, X)
+            assert rep.equal
+            assert checked == ([c] if X is regular_module(c.H) else [])
 
 
 def test_bumped_map_fails_h_linearity_and_is_decided_on_every_column(t3, monkeypatch):

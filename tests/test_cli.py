@@ -244,8 +244,6 @@ def test_check_equals_needs_expr(capsys):
 @pytest.mark.parametrize("module,argv,message", [
     ("hopfchrom.chromatic", ["chromatic", "--builtin", "group:Z2", "--side", "left"],
      "left chromatic map failed the intertwiner check"),
-    ("hopfchrom.hmod", ["check", "--builtin", "group:Z2", "--expr", "ev(H)"],
-     "ev(H) is not H-linear"),
 ])
 def test_failed_intertwiner_check_is_a_verification_failure(capsys, monkeypatch,
                                                             module, argv, message):

@@ -10,6 +10,7 @@ from hopfchrom import (
     hom_basis,
     hom_space,
     is_h_linear,
+    is_spherical_hmod,
     lambda_transform,
     module_make,
     pivot_candidates,
@@ -21,6 +22,7 @@ from hopfchrom import (
     word_element_action,
 )
 from hopfchrom.calculus import Prim, compose, evaluate, identity, tensor
+from hopfchrom.cli import _make_builtin, _parse_field
 
 
 def test_module_make_regular_and_trivial(z2):
@@ -76,24 +78,27 @@ def test_dual_modules(h4, t3):
 
 
 def test_evaluation_zigzags(corpus_data):
+    # the grid coevaluates into ld(H) and rd(H) and checks only its chromatic
+    # map, so the H-linearity of these unchecked morphisms is asserted here
     for name, (H, d) in corpus_data.items():
-        M = regular_module(H)
-        ev, coev = evaluation_morphisms(M, "left")
-        evt, coevt = evaluation_morphisms(M, "right")
-        assert all(is_h_linear(m) for m in (ev, coev, evt, coevt)), name
-        idm = identity((M,))
-        ld = ev.source[0]
-        idl = identity((ld,))
-        z1 = evaluate(compose(tensor(idm, Prim(ev)), tensor(Prim(coev), idm)))
-        assert z1.matrix == Matrix.identity(H.field, M.dim), name
-        z2_ = evaluate(compose(tensor(Prim(ev), idl), tensor(idl, Prim(coev))))
-        assert z2_.matrix == Matrix.identity(H.field, M.dim), name
-        rd = evt.source[1]
-        idr = identity((rd,))
-        z3 = evaluate(compose(tensor(Prim(evt), idm), tensor(idm, Prim(coevt))))
-        assert z3.matrix == Matrix.identity(H.field, M.dim), name
-        z4 = evaluate(compose(tensor(idr, Prim(evt)), tensor(Prim(coevt), idr)))
-        assert z4.matrix == Matrix.identity(H.field, M.dim), name
+        reg = regular_module(H)
+        for M in (reg, dual_module(reg, "left"), dual_module(reg, "right")):
+            ev, coev = evaluation_morphisms(M, "left")
+            evt, coevt = evaluation_morphisms(M, "right")
+            assert all(is_h_linear(m) for m in (ev, coev, evt, coevt)), name
+            idm = identity((M,))
+            ld = ev.source[0]
+            idl = identity((ld,))
+            z1 = evaluate(compose(tensor(idm, Prim(ev)), tensor(Prim(coev), idm)))
+            assert z1.matrix == Matrix.identity(H.field, M.dim), name
+            z2_ = evaluate(compose(tensor(Prim(ev), idl), tensor(idl, Prim(coev))))
+            assert z2_.matrix == Matrix.identity(H.field, M.dim), name
+            rd = evt.source[1]
+            idr = identity((rd,))
+            z3 = evaluate(compose(tensor(Prim(evt), idm), tensor(idm, Prim(coevt))))
+            assert z3.matrix == Matrix.identity(H.field, M.dim), name
+            z4 = evaluate(compose(tensor(idr, Prim(evt)), tensor(Prim(coevt), idr)))
+            assert z4.matrix == Matrix.identity(H.field, M.dim), name
 
 
 def test_evaluation_morphisms_trivial(z2):
@@ -137,9 +142,21 @@ def test_lambda_transform_is_h_linear(corpus_data):
     # built unchecked, so its H-linearity is asserted here, on both sides
     for name, (H, d) in corpus_data.items():
         reg = regular_module(H)
-        for word in ((reg,), (trivial_module(H),), (reg, dual_module(reg, "left"))):
+        for word in ((reg,), (trivial_module(H),), (reg, dual_module(reg, "left")),
+                     (dual_module(reg, "right"), reg)):
             for side in ("left", "right"):
                 assert is_h_linear(lambda_transform(H, word, side)), (name, side, word)
+
+
+def test_pivotal_coevaluation_of_uqsl2_is_h_linear():
+    """The spherical grid's coev~ twisted by the pivot of uqsl2:3 is H-linear
+    by the pivot conditions; twisted by the unit, which fails them, it is not."""
+    H = _make_builtin("uqsl2:3", _parse_field("GF:7"))
+    reg = regular_module(H)
+    g = is_spherical_hmod(H)[1].g
+    evt, coevt = pivotal_evaluation_morphisms(reg, g)
+    assert is_h_linear(evt) and is_h_linear(coevt)
+    assert not is_h_linear(pivotal_evaluation_morphisms(reg, H.unit_vector())[1])
 
 
 def test_lambda_naturality(corpus_data):

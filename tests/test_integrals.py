@@ -1,6 +1,7 @@
 import inspect
 from fractions import Fraction
 
+import pytest
 from helpers import pivot_condition_failures_reference
 
 import hopfchrom.integrals as integrals_module
@@ -8,6 +9,7 @@ from hopfchrom import (
     FieldSpec,
     GroupTable,
     HopfAlgebra,
+    HopfDataError,
     Matrix,
     PivotSearchInconclusive,
     alpha_left_ideal,
@@ -23,6 +25,7 @@ from hopfchrom import (
 from hopfchrom.hopf import pairing, vec_scale
 from hopfchrom.cli import _make_builtin, _parse_field
 from hopfchrom.integrals import (
+    _check_lambda_certificate,
     _grouplikes_on_plane,
     _intertwiner_space,
     _pivot_condition_failures,
@@ -258,6 +261,28 @@ def test_integral_invariants_all_builtins(corpus_data):
                 vec_scale(f, H.counit[i], d.left_cointegral)
             assert H.multiply(d.left_cointegral, H.antipode_vector(i)) == \
                 vec_scale(f, d.alpha[i], d.left_cointegral)
+
+
+def test_lambda_certificate_holds_and_fails_with_alpha_replaced_by_counit(corpus_data):
+    """The certificate that makes both Lambda-transformations H-linear holds
+    on the corpus; with alpha replaced by the counit it fails on the two
+    non-unimodular algebras, each at the first basis element where the left
+    identity breaks."""
+    for name, (H, d) in corpus_data.items():
+        _check_lambda_certificate(H, d.left_cointegral, d.alpha)
+    for name, basis in (("taft:3", 3), ("sweedler", 1)):
+        H, d = corpus_data[name]
+        with pytest.raises(HopfDataError, match=f"not H-linear at basis {basis}$"):
+            _check_lambda_certificate(H, d.left_cointegral, H.counit)
+
+
+def test_integral_invariants_include_the_lambda_certificate(h4, monkeypatch):
+    seen = []
+    monkeypatch.setattr(integrals_module, "_check_lambda_certificate",
+                        lambda H, Lam, alpha: seen.append((H, Lam, alpha)))
+    d = normalized_pair(h4)
+    integrals_module._check_integral_invariants(h4, d)
+    assert seen == [(h4, d.left_cointegral, d.alpha)]
 
 
 def test_s_inverse_of_cointegral_is_right_cointegral(corpus_data):

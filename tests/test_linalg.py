@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from helpers import permutation_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,7 @@ from hopfchrom import (
     SingularMatrixError,
     field_make,
 )
-from hopfchrom.linalg import permutation_matrix, sparse_sum
+from hopfchrom.linalg import sparse_sum
 
 Q = field_make(FieldSpec("rationals"))
 F7 = field_make(FieldSpec("prime-field", p=7))
