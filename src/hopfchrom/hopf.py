@@ -3,10 +3,10 @@
 ``hopf_make`` runs the full bialgebra/antipode axiom suite and fails
 atomically, naming the violated axiom and the basis indices of the first
 offending coefficient.  Everything downstream may therefore assume a genuine
-Hopf algebra.  Each axiom is an exact equality of two structure matrices with
-no side above ``n^3``: ``Delta(xy) = Delta(x) Delta(y)`` is contracted directly
-over the sparse tensors (``_delta_products``) instead of going through the
-``n^4``-sided ``(m ox m)(id ox tau ox id)(Delta ox Delta)``.
+Hopf algebra.  Both sides of each axiom are contracted from the sparse
+tensors, with no Kronecker product and no matrix side above ``n^2``;
+associativity and ``Delta(xy) = Delta(x) Delta(y)`` are decided on the
+columns of the algebra generators (``_algebra_generators``, ``_verify_axioms``).
 
 ``hopf_make`` takes the sparse terms of the algebra file format
 (docs/file-format.md), summed over repeated indices, and stores them sparsely
@@ -76,7 +76,7 @@ class HopfAlgebra:
     """Verified structure-constant Hopf algebra.  Build via :func:`hopf_make`."""
 
     def __init__(self, field, dim, basis_names, mult, unit, comult, counit,
-                 antipode, antipode_inv, name, _verified):
+                 antipode, antipode_inv, generators, name, _verified):
         if not _verified:
             raise HopfDataError("use hopf_make()")
         self.field = field
@@ -92,7 +92,7 @@ class HopfAlgebra:
         self._antipode_sq = None
         self._integral_data = None  # integrals.normalized_pair's verified result
         self._modules = {}  # hmod's regular, trivial and alpha modules, built once
-        self._generators = None
+        self._generators = generators  # _algebra_generators, from hopf_make
         self._left_mult = [None] * dim
         self._right_mult = [None] * dim
 
@@ -139,26 +139,8 @@ class HopfAlgebra:
         return out
 
     def algebra_generators(self) -> tuple:
-        """Basis indices whose elements generate H as an algebra, found on first
-        use and kept.  A greedy pass keeps ``e_k`` when it enlarges the span of
-        the words in the kept elements, closes that span under left
-        multiplication by them, and stops at rank ``dim``, which certifies the
-        set.  A map that commutes with these elements commutes with H.
-        """
-        if self._generators is None:
-            f, gens, span = self.field, [], [self.unit_vector()]
-            for k in range(self.dim):
-                if len(span) == self.dim or \
-                        Matrix.from_rows(f, span + [self.basis_vector(k)]).rank() == len(span):
-                    continue
-                gens.append(k)
-                while True:  # close the span under left multiplication by gens
-                    R, rank, _ = Matrix.from_rows(f, span + [
-                        self.left_mult_matrix(g).apply(v) for g in gens for v in span]).rref()
-                    if rank == len(span):
-                        break
-                    span = [R.row_list(i) for i in range(rank)]
-            self._generators = tuple(gens)
+        """Basis indices generating H as an algebra, found by ``hopf_make``
+        (``_algebra_generators``); a map commuting with them commutes with H."""
         return self._generators
 
     def counit_apply(self, a: list):
@@ -167,8 +149,7 @@ class HopfAlgebra:
     def left_mult_matrix(self, i: int) -> Matrix:
         """Matrix of ``v -> e_i v``."""
         if self._left_mult[i] is None:
-            entries = {(k, j): c for j, col in enumerate(self.mult[i]) for k, c in col.items()}
-            self._left_mult[i] = Matrix.from_entries(self.field, self.dim, self.dim, entries)
+            self._left_mult[i] = _left_mult_matrix(self.field, self.mult, i)
         return self._left_mult[i]
 
     def right_mult_matrix(self, j: int) -> Matrix:
@@ -296,6 +277,34 @@ def _sparse_structure(field, dim: int, mult, comult, antipode):
     return sm, sc, Matrix.from_entries(field, dim, dim, summed(antipode, 2, "antipode"))
 
 
+def _left_mult_matrix(field, mult, i: int) -> Matrix:
+    """Matrix of ``v -> e_i v`` for a sparse ``mult``."""
+    entries = {(k, j): c for j, col in enumerate(mult[i]) for k, c in col.items()}
+    return Matrix.from_entries(field, len(mult), len(mult), entries)
+
+
+def _algebra_generators(field, mult, unit) -> tuple:
+    """Basis indices whose right-nested words ``g_1 (g_2 (... (g_k 1)))`` span
+    the algebra ``mult``: a greedy pass keeps ``e_k`` when it enlarges the span
+    of these words, closes the span under left multiplication by the kept
+    elements, and stops at rank ``n``, reached when 1 is a unit (``e_k 1 = e_k``)."""
+    n = len(mult)
+    gens, left, span = [], {}, [list(unit)]
+    for k in range(n):
+        e_k = [field.one if i == k else field.zero for i in range(n)]
+        if len(span) == n or Matrix.from_rows(field, span + [e_k]).rank() == len(span):
+            continue
+        gens.append(k)
+        left[k] = _left_mult_matrix(field, mult, k)
+        while True:  # close the span under left multiplication by gens
+            R, rank, _ = Matrix.from_rows(field, span + [
+                left[g].apply(v) for g in gens for v in span]).rref()
+            if rank == len(span):
+                break
+            span = [R.row_list(i) for i in range(rank)]
+    return tuple(gens)
+
+
 def _mult_terms(mult):
     """``(i, j, k, m_ij^k)`` over the nonzero entries of a sparse ``mult``."""
     for i, row in enumerate(mult):
@@ -311,32 +320,18 @@ def _comult_terms(comult):
             yield k, i, j, c
 
 
-def _structure_matrices(field, mult, comult):
-    """``M`` (``n x n^2``, column ``(i, j)``) and ``D`` (``n^2 x n``, row ``(i, j)``)."""
-    n = len(mult)
-    M = Matrix.from_entries(field, n, n * n,
-                            {(k, i * n + j): c for i, j, k, c in _mult_terms(mult)})
-    D = Matrix.from_entries(field, n * n, n,
-                            {(i * n + j, k): c for k, i, j, c in _comult_terms(comult)})
-    return M, D
-
-
-def _delta_products(field, mult, comult) -> Matrix:
-    """``n^2 x n^2`` matrix of ``e_i ox e_j -> Delta(e_i) Delta(e_j)`` in H ox H.
-
-    Column ``(i, j)``, row ``(a, b)`` is ``sum c_i^pq c_j^rs m_pr^a m_qs^b``,
-    contracted over the sparse tensors: the matrix of
-    ``(m ox m)(id ox tau ox id)(Delta ox Delta)`` without its ``n^4``-sided
-    factors.
-    """
+def _delta_products(field, mult, comult, firsts) -> dict:
+    """Columns ``(i, j)``, ``i`` in ``firsts``, of ``(m ox m)(id ox tau ox id)
+    (Delta ox Delta)``, i.e. ``Delta(e_i) Delta(e_j)``, as sparse
+    ``{(a*n + b, i*n + j): sum c_i^pq c_j^rs m_pr^a m_qs^b}``."""
     n = len(mult)
     mul = field.mul
 
     def terms():
-        for i, di in enumerate(comult):
+        for i in firsts:
             for j, dj in enumerate(comult):
                 col = i * n + j
-                for (p, q), x in di.items():
+                for (p, q), x in comult[i].items():
                     for (r, s), y in dj.items():
                         xy = mul(x, y)
                         for a, u in mult[p][r].items():
@@ -344,7 +339,7 @@ def _delta_products(field, mult, comult) -> Matrix:
                             for b, v in mult[q][s].items():
                                 yield (a * n + b, col), mul(xyu, v)
 
-    return Matrix.from_entries(field, n * n, n * n, sparse_sum(field, terms()))
+    return sparse_sum(field, terms())
 
 
 def _decode(flat: int, n: int, legs: int) -> tuple:
@@ -355,77 +350,111 @@ def _decode(flat: int, n: int, legs: int) -> tuple:
     return tuple(reversed(out))
 
 
-def _expect_equal(lhs: Matrix, rhs: Matrix, axiom: str, decoder):
-    diff = lhs.first_difference(rhs)
-    if diff is not None:
-        i, j, a, b = diff
-        raise HopfAxiomError(axiom, decoder(i, j),
-                             f"{lhs.field.format(a)} != {lhs.field.format(b)}")
+def _first_difference(field, lhs: dict, rhs: dict):
+    """Row-major first ``(row, col)`` where two sparse sides differ, or None."""
+    zero = field.zero
+    return min((key for key in lhs.keys() | rhs.keys()
+                if lhs.get(key, zero) != rhs.get(key, zero)), default=None)
 
 
-def _verify_axioms(field, dim, mult, unit, comult, counit, S) -> Matrix:
+def _expect_equal(field, lhs: dict, rhs: dict, axiom: str, decoder):
+    key = _first_difference(field, lhs, rhs)
+    if key is not None:
+        a, b = (field.format(side.get(key, field.zero)) for side in (lhs, rhs))
+        raise HopfAxiomError(axiom, decoder(*key), f"{a} != {b}")
+
+
+def _verify_axioms(field, dim, mult, unit, comult, counit, S, gens) -> Matrix:
     """Raise HopfAxiomError at the first violated axiom, in a fixed order;
     return ``S^{-1}``, which the bijectivity check computes.
 
-    Every side is a product of structure matrices with no side above
-    ``n^3``, except ``Delta(xy) = Delta(x) Delta(y)``, whose right-hand side
-    is contracted from the sparse tensors (``_delta_products``).
+    Each side is the structure matrix it stands for (``m(m ox id)``, ...) as a
+    sparse ``{(row, col): value}`` contracted from the tensors, compared in
+    row-major order.  Associativity and ``Delta(xy) = Delta(x) Delta(y)`` are
+    decided on the columns whose first factor is in ``gens``, whose words span
+    H.  With a two-sided unit, the subspace ``A = {x : (xy)z = x(yz) for all
+    y, z}`` holds 1, and g in gens, w in A give ``((gw)y)z = (g(wy))z =
+    g((wy)z) = g(w(yz)) = (gw)(yz)``, so A = H; so is ``{x : Delta(xy) =
+    Delta(x) Delta(y) for all y}``, given associativity, unitality and
+    ``Delta(1) = 1 ox 1``.  Without its conditions, or on a mismatch, a check
+    runs on every column, so it names the full check's first failure.
     """
-    n = dim
-    ident = Matrix.identity(field, n)
-    M, D = _structure_matrices(field, mult, comult)
-    u_col = Matrix.from_columns(field, [unit])
-    eps_row = Matrix.from_rows(field, [counit])
+    n, mul, zero, one = dim, field.mul, field.zero, field.one
+    every = range(n)
+    ident = {(j, j): one for j in every}
 
-    # associativity: m(m ox id) = m(id ox m), n x n^3
-    _expect_equal(
-        M @ M.kron(ident),
-        M @ ident.kron(M),
-        "associativity",
-        lambda r, c: _decode(c, n, 3) + (r,),
-    )
-    # unitality: 1 e_j = e_j = e_j 1
-    _expect_equal(M @ u_col.kron(ident), ident, "unitality",
-                  lambda r, c: (c, r))
-    _expect_equal(M @ ident.kron(u_col), ident, "unitality",
-                  lambda r, c: (c, r))
-    # coassociativity, n^3 x n
-    _expect_equal(
-        D.kron(ident) @ D,
-        ident.kron(D) @ D,
-        "coassociativity",
-        lambda r, c: (c,) + _decode(r, n, 3),
-    )
-    # counitality
-    _expect_equal(eps_row.kron(ident) @ D, ident, "counitality",
-                  lambda r, c: (c, r))
-    _expect_equal(ident.kron(eps_row) @ D, ident, "counitality",
-                  lambda r, c: (c, r))
-    # comultiplication is an algebra map (incl. Delta(1) = 1 ox 1), n^2 x n^2,
-    # the right-hand side contracted rather than built from n^4-sided factors
-    _expect_equal(
-        D @ M,
-        _delta_products(field, mult, comult),
-        "comultiplication-algebra-map",
-        lambda r, c: _decode(c, n, 2) + _decode(r, n, 2),
-    )
-    _expect_equal(D @ u_col, u_col.kron(u_col), "comultiplication-algebra-map",
+    def checked_on(sides, firsts):  # rerun a failing reduced check on every column
+        lhs, rhs = sides(firsts)
+        failed = firsts is not every and _first_difference(field, lhs, rhs) is not None
+        return sides(every) if failed else (lhs, rhs)
+
+    def associativity(firsts):  # (e_i e_j) e_k and e_i (e_j e_k), column (i, j, k)
+        return (sparse_sum(field, (((r, (i * n + j) * n + k), mul(x, y))
+                                   for i in firsts for j in every for p, x in mult[i][j].items()
+                                   for k in every for r, y in mult[p][k].items())),
+                sparse_sum(field, (((r, (i * n + j) * n + k), mul(x, y))
+                                   for i in firsts for j in every for k in every
+                                   for q, x in mult[j][k].items() for r, y in mult[i][q].items())))
+
+    def comult_products(firsts):  # Delta(e_i e_j) and Delta(e_i) Delta(e_j)
+        return (sparse_sum(field, (((a * n + b, i * n + j), mul(x, y))
+                                   for i in firsts for j in every for k, x in mult[i][j].items()
+                                   for (a, b), y in comult[k].items())),
+                _delta_products(field, mult, comult, firsts))
+
+    units = [(i, u) for i, u in enumerate(unit) if u != zero]
+    counits = [(i, e) for i, e in enumerate(counit) if e != zero]
+    left_unit = sparse_sum(field, (((r, j), mul(u, c)) for i, u in units
+                                   for j in every for r, c in mult[i][j].items()))
+    right_unit = sparse_sum(field, (((r, j), mul(u, c)) for i, u in units
+                                    for j in every for r, c in mult[j][i].items()))
+    delta_unit = sparse_sum(field, (((a * n + b, 0), mul(u, c)) for k, u in units
+                                    for (a, b), c in comult[k].items()))
+    unit_unit = {(a * n + b, 0): mul(x, y) for a, x in units for b, y in units}
+    unital = left_unit == ident == right_unit
+
+    _expect_equal(field, *checked_on(associativity, gens if unital else every),
+                  "associativity", lambda r, c: _decode(c, n, 3) + (r,))
+    _expect_equal(field, left_unit, ident, "unitality", lambda r, c: (c, r))
+    _expect_equal(field, right_unit, ident, "unitality", lambda r, c: (c, r))
+    # coassociativity: row (a, b, c) of (Delta ox id) Delta(e_k) and (id ox Delta) Delta(e_k)
+    _expect_equal(field, sparse_sum(field, ((((a * n + b) * n + c, k), mul(x, y))
+                                            for k, dk in enumerate(comult)
+                                            for (p, c), x in dk.items()
+                                            for (a, b), y in comult[p].items())),
+                  sparse_sum(field, ((((a * n + b) * n + c, k), mul(x, y))
+                                     for k, dk in enumerate(comult) for (a, q), x in dk.items()
+                                     for (b, c), y in comult[q].items())),
+                  "coassociativity", lambda r, c: (c,) + _decode(r, n, 3))
+    # counitality: (eps ox id) Delta = id = (id ox eps) Delta
+    _expect_equal(field, sparse_sum(field, (((j, k), mul(counit[a], c)) for k, dk
+                                            in enumerate(comult) for (a, j), c in dk.items())),
+                  ident, "counitality", lambda r, c: (c, r))
+    _expect_equal(field, sparse_sum(field, (((j, k), mul(counit[a], c)) for k, dk
+                                            in enumerate(comult) for (j, a), c in dk.items())),
+                  ident, "counitality", lambda r, c: (c, r))
+    # comultiplication is an algebra map, Delta(1) = 1 ox 1 included
+    reduced = unital and delta_unit == unit_unit
+    _expect_equal(field, *checked_on(comult_products, gens if reduced else every),
+                  "comultiplication-algebra-map", lambda r, c: _decode(c, n, 2) + _decode(r, n, 2))
+    _expect_equal(field, delta_unit, unit_unit, "comultiplication-algebra-map",
                   lambda r, c: _decode(r, n, 2))
     # counit is an algebra map
-    _expect_equal(eps_row @ M, eps_row.kron(eps_row), "counit-algebra-map",
-                  lambda r, c: _decode(c, n, 2))
-    _expect_equal(
-        eps_row @ u_col,
-        Matrix.from_rows(field, [[field.one]]),
-        "counit-algebra-map",
-        lambda r, c: (),
-    )
-    # antipode axiom: m(S ox id)Delta = u eps = m(id ox S)Delta
-    ue = u_col @ eps_row
-    _expect_equal(M @ S.kron(ident) @ D, ue, "antipode-axiom",
-                  lambda r, c: (c, r))
-    _expect_equal(M @ ident.kron(S) @ D, ue, "antipode-axiom",
-                  lambda r, c: (c, r))
+    _expect_equal(field, sparse_sum(field, (((0, i * n + j), mul(counit[k], c)) for i in every
+                                            for j in every for k, c in mult[i][j].items())),
+                  {(0, i * n + j): mul(x, y) for i, x in counits for j, y in counits},
+                  "counit-algebra-map", lambda r, c: _decode(c, n, 2))
+    _expect_equal(field, sparse_sum(field, (((0, 0), mul(e, unit[k])) for k, e in counits)),
+                  {(0, 0): one}, "counit-algebra-map", lambda r, c: ())
+    # antipode axiom: m(S ox id) Delta = u eps = m(id ox S) Delta, column k
+    s_cols = [[(p, s) for p, s in enumerate(S.col_list(a)) if s != zero] for a in every]
+    ue = {(r, k): mul(u, e) for r, u in units for k, e in counits}
+    for left in (True, False):
+        _expect_equal(field, sparse_sum(field, (
+            ((r, k), mul(mul(c, s), m)) for k, dk in enumerate(comult) for (a, b), c in dk.items()
+            for p, s in s_cols[a if left else b]
+            for r, m in (mult[p][b] if left else mult[a][p]).items())),
+            ue, "antipode-axiom", lambda r, c: (c, r))
     # bijectivity of S (automatic for genuine finite-dimensional Hopf data)
     try:
         return S.inverse()
@@ -448,5 +477,6 @@ def hopf_make(field: Field, basis_names, mult, unit, comult, counit, antipode,
     u = [field.coerce(v) for v in unit]
     eps = [field.coerce(v) for v in counit]
     sm, sc, S = _sparse_structure(field, dim, mult, comult, antipode)
-    S_inv = _verify_axioms(field, dim, sm, u, sc, eps, S)
-    return HopfAlgebra(field, dim, basis_names, sm, u, sc, eps, S, S_inv, name, True)
+    gens = _algebra_generators(field, sm, u)
+    S_inv = _verify_axioms(field, dim, sm, u, sc, eps, S, gens)
+    return HopfAlgebra(field, dim, basis_names, sm, u, sc, eps, S, S_inv, gens, name, True)

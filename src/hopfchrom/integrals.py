@@ -146,9 +146,9 @@ def _check_integral_invariants(H: HopfAlgebra, data: IntegralData):
     # alpha is an algebra map
     if pairing(f, alpha, H.unit_vector()) != f.one:
         raise HopfDataError("alpha(1) != 1")
-    for i in range(H.dim):
-        for j in range(H.dim):
-            got = pairing(f, alpha, H.multiply(H.basis_vector(i), H.basis_vector(j)))
+    for i, row in enumerate(H.mult):
+        for j, col in enumerate(row):  # alpha(e_i e_j) = sum_k m_ij^k alpha_k
+            got = pairing(f, [alpha[k] for k in col], col.values())
             if got != f.mul(alpha[i], alpha[j]):
                 raise HopfDataError(f"alpha multiplicativity fails at ({i},{j})")
     if not H.is_grouplike(a):

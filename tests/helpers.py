@@ -4,7 +4,9 @@ formulation, so axiom names reported by hopf_make can be cross-checked), a
 Kronecker-product evaluator of expression trees, the reference for
 ``calculus.evaluate``, the Kronecker/permutation form of the
 comultiplication-algebra-map sides, the reference for the contraction in
-``hopf_make``, the lambda-loop pivot conditions, the reference for
+``hopf_make``, the Kronecker-form axiom suite on every column, the
+reference for ``hopf_make``'s sparse suite on generator columns, the
+lambda-loop pivot conditions, the reference for
 ``integrals._pivot_condition_failures``, the right chromatic map
 transported from the left map of H^cop, the reference for
 ``chromatic_right_hopf``, and the iterated coproduct expanded on the last
@@ -13,10 +15,18 @@ matrices those references build."""
 
 from __future__ import annotations
 
-from hopfchrom import HopfAlgebra, Matrix, Morphism, MorphismTypeError, normalized_pair
+from hopfchrom import (
+    HopfAlgebra,
+    HopfAxiomError,
+    Matrix,
+    Morphism,
+    MorphismTypeError,
+    normalized_pair,
+)
 from hopfchrom.calculus import Compose, Ident, Prim, Tensor
 from hopfchrom.hmod import word_dim, word_label, words_match
-from hopfchrom.hopf import pairing, vec_scale
+from hopfchrom.hopf import _decode, _delta_products, pairing, vec_scale
+from hopfchrom.linalg import SingularMatrixError
 
 
 def permutation_matrix(field, images: list[int]) -> Matrix:
@@ -117,6 +127,56 @@ def kron_comult_algebra_map_sides(field, tensors: dict):
         for a in range(n) for b in range(n) for c in range(n) for d in range(n)
     ])
     return D @ M, M.kron(M) @ swap23 @ D.kron(D)
+
+
+def _kron_expect_equal(lhs: Matrix, rhs: Matrix, axiom: str, decoder):
+    diff = lhs.first_difference(rhs)
+    if diff is not None:
+        i, j, a, b = diff
+        raise HopfAxiomError(axiom, decoder(i, j),
+                             f"{lhs.field.format(a)} != {lhs.field.format(b)}")
+
+
+def kron_verify_axioms(field, dim, mult, unit, comult, counit, S) -> Matrix:
+    """The axiom suite as equalities of structure matrices built with
+    Kronecker products, decided on every column: the reference for
+    ``hopf._verify_axioms``, with the same arguments, axiom order, index
+    decoding and messages.  Returns ``S^{-1}``."""
+    n = dim
+    ident = Matrix.identity(field, n)
+    M = Matrix.from_entries(field, n, n * n, {
+        (k, i * n + j): c for i, row in enumerate(mult) for j, col in enumerate(row)
+        for k, c in col.items()})
+    D = Matrix.from_entries(field, n * n, n, {
+        (i * n + j, k): c for k, terms_k in enumerate(comult) for (i, j), c in terms_k.items()})
+    u_col = Matrix.from_columns(field, [unit])
+    eps_row = Matrix.from_rows(field, [counit])
+
+    _kron_expect_equal(M @ M.kron(ident), M @ ident.kron(M), "associativity",
+                       lambda r, c: _decode(c, n, 3) + (r,))
+    _kron_expect_equal(M @ u_col.kron(ident), ident, "unitality", lambda r, c: (c, r))
+    _kron_expect_equal(M @ ident.kron(u_col), ident, "unitality", lambda r, c: (c, r))
+    _kron_expect_equal(D.kron(ident) @ D, ident.kron(D) @ D, "coassociativity",
+                       lambda r, c: (c,) + _decode(r, n, 3))
+    _kron_expect_equal(eps_row.kron(ident) @ D, ident, "counitality", lambda r, c: (c, r))
+    _kron_expect_equal(ident.kron(eps_row) @ D, ident, "counitality", lambda r, c: (c, r))
+    delta_products = Matrix.from_entries(field, n * n, n * n,
+                                         _delta_products(field, mult, comult, range(n)))
+    _kron_expect_equal(D @ M, delta_products, "comultiplication-algebra-map",
+                       lambda r, c: _decode(c, n, 2) + _decode(r, n, 2))
+    _kron_expect_equal(D @ u_col, u_col.kron(u_col), "comultiplication-algebra-map",
+                       lambda r, c: _decode(r, n, 2))
+    _kron_expect_equal(eps_row @ M, eps_row.kron(eps_row), "counit-algebra-map",
+                       lambda r, c: _decode(c, n, 2))
+    _kron_expect_equal(eps_row @ u_col, Matrix.from_rows(field, [[field.one]]),
+                       "counit-algebra-map", lambda r, c: ())
+    ue = u_col @ eps_row
+    _kron_expect_equal(M @ S.kron(ident) @ D, ue, "antipode-axiom", lambda r, c: (c, r))
+    _kron_expect_equal(M @ ident.kron(S) @ D, ue, "antipode-axiom", lambda r, c: (c, r))
+    try:
+        return S.inverse()
+    except SingularMatrixError:
+        raise HopfAxiomError("antipode-invertibility", (), "S is singular")
 
 
 def pivot_condition_failures_reference(H: HopfAlgebra, data, v: list) -> list[str]:
