@@ -39,7 +39,7 @@ from .hmod import (
     word_dim,
     words_match,
 )
-from .hopf import HopfAlgebra, pairing
+from .hopf import HopfAlgebra
 from .integrals import (
     PivotData,
     _pivot_condition_failures,
@@ -87,11 +87,16 @@ class ChromaticMap(Morphism):
             raise NotSphericalError(f"not a pivot of {self.H.name}: fails {', '.join(fails)}")
 
 
-def _lambda_pair_table(H: HopfAlgebra, lam: list, rs: list | None = None) -> list[list]:
-    """Table ``t[i][x] = lambda(S(e_i) r_x)``, with ``r_x = e_x`` by default."""
-    rs = rs or [H.basis_vector(x) for x in range(H.dim)]
-    return [[pairing(H.field, lam, H.multiply(H.antipode_vector(i), r)) for r in rs]
-            for i in range(H.dim)]
+def _lambda_pair_table(H: HopfAlgebra, lam: list, R: Matrix | None = None) -> Matrix:
+    """Table ``t[i][x] = lambda(S(e_i) r_x)``, with ``r_x`` the column ``x`` of
+    ``R`` (``e_x`` by default): ``S^T nu R`` for ``nu[j][l] = lambda(e_j e_l)``,
+    read once off H's multiplication tensor."""
+    f, n = H.field, H.dim
+    nu = sparse_sum(f, (((j, l), f.mul(c, lam[k]))
+                        for j, row in enumerate(H.mult) for l, col in enumerate(row)
+                        for k, c in col.items() if lam[k] != f.zero))
+    table = H.antipode.transpose() @ Matrix.from_entries(f, n, n, nu)
+    return table if R is None else table @ R
 
 
 def _sweedler_map(H: HopfAlgebra, legs: list, table: list[list], right: bool) -> Matrix:
@@ -125,7 +130,7 @@ def chromatic_left_hopf(H: HopfAlgebra) -> ChromaticMap:
     legs = [[(y1, y3 * n + y4, f.mul(c, alpha[y2]))
              for (y1, y2, y3, y4), c in H.coproduct_iter(3, H.basis_vector(y)).items()]
             for y in range(n)]
-    table = _lambda_pair_table(H, data.right_integral)
+    table = _lambda_pair_table(H, data.right_integral).dense()
     G = regular_module(H)
     Gll = dual_module(dual_module(G, "left"), "left")
     return _checked(ChromaticMap((Gll, G), (alpha_module(H), G, G),
@@ -144,7 +149,7 @@ def chromatic_right_hopf(H: HopfAlgebra) -> ChromaticMap:
     legs = [[(y4, y1 * n + y2, f.mul(c, alpha[y3]))
              for (y1, y2, y3, y4), c in H.coproduct_iter(3, H.basis_vector(y)).items()]
             for y in range(n)]
-    table = [list(col) for col in zip(*_lambda_pair_table(H, data.right_integral))]
+    table = _lambda_pair_table(H, data.right_integral).transpose().dense()
     G = regular_module(H)
     Grr = dual_module(dual_module(G, "right"), "right")
     return _checked(ChromaticMap((G, Grr), (G, G, alpha_module(H)),
@@ -161,7 +166,7 @@ def chromatic_spherical(H: HopfAlgebra, pivot: PivotData | None = None) -> Chrom
             for y in range(n)]
     # table[i][x] = lambda(S(e_i) g e_x)
     table = _lambda_pair_table(H, normalized_pair(H).right_integral,
-                               [H.multiply(pivot.g, H.basis_vector(x)) for x in range(n)])
+                               H.element_left_mult(pivot.g)).dense()
     G = regular_module(H)
     return _checked(ChromaticMap((G, G), (G, G),
                                  _sweedler_map(H, legs, table, right=False),

@@ -2,16 +2,19 @@
 
 Modules are one action matrix per basis element of H; tensor words are flat
 tuples of modules (Mac Lane coherence: no explicit associators) acting
-through iterated coproducts, flattened row-major.  A ``Morphism`` records its
-source and target words plus one exact matrix; the empty word is the monoidal
-unit.
+through iterated coproducts, flattened row-major.  An element acts on a word
+in one pass over its Sweedler terms, multiplying the legs' nonzero entries
+straight into the flat matrix (``word_element_action``); no Kronecker product
+is formed.  A ``Morphism`` records its source and target words plus one exact
+matrix; the empty word is the monoidal unit.
 
 Left duals act by ``transpose(rho(S(h)))``, right duals by
 ``transpose(rho(S^{-1}(h)))``.  The Lambda-transformations are the actions of
 ``S^{-1}(Lambda)`` (left) and ``S(Lambda)`` (right).
 
 The regular, trivial and alpha modules are built once per algebra and kept on
-it, so every caller shares them (and whichever of their duals is in use).
+it, and each module keeps its duals, built once per side, so every caller
+shares them: ld(H), ld(ld(H)), rd(H) and rd(rd(H)) live as long as H.
 
 Verification policy (here and in ``chromatic``): a morphism built here from
 H's verified data is H-linear by an identity of H checked once per algebra:
@@ -28,9 +31,7 @@ that turns a check off.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from functools import reduce
 
 from .hopf import HopfAlgebra
 from .integrals import normalized_pair
@@ -72,16 +73,14 @@ class MorphismTypeError(ValueError):
 class HModule:
     """A finite-dimensional left H-module given by action matrices."""
 
-    __slots__ = ("H", "dim", "action", "label", "_duals", "__weakref__")
+    __slots__ = ("H", "dim", "action", "label", "_duals")
 
     def __init__(self, H: HopfAlgebra, dim: int, action, label: str):
         self.H = H
         self.dim = dim
         self.action = tuple(action)  # one dim x dim Matrix per basis element
         self.label = label
-        # side -> dual, held weakly so that no dual outlives its users: a chromatic
-        # map's regular leg would otherwise keep its unused ld(H) or rd(H) alive
-        self._duals = weakref.WeakValueDictionary()
+        self._duals = {}  # side -> dual, built on first use and kept with the module
 
     def act(self, a: list) -> Matrix:
         """Action matrix of an arbitrary element of H."""
@@ -162,8 +161,8 @@ def tensor_module(M: HModule, N: HModule) -> HModule:
 
 
 def dual_module(M: HModule, side: str) -> HModule:
-    """Left dual (via S) or right dual (via S^{-1}) of M; while a dual is in use,
-    every call for it returns the same module."""
+    """Left dual (via S) or right dual (via S^{-1}) of M, built once per side
+    and kept with M, so every call for it returns the same module."""
     D = M._duals.get(side)
     if D is None:
         H = M.H
@@ -213,10 +212,14 @@ def word_action(H: HopfAlgebra, word, k: int) -> Matrix:
 
 
 def word_element_action(H: HopfAlgebra, word, a: list) -> Matrix:
-    """Action of an arbitrary element of H on a tensor word.
+    """Action of an arbitrary element of H on a tensor word, built in one pass.
 
-    Each Sweedler term ``c a_(1) ox ... ox a_(k)`` is one Kronecker product
-    with ``c`` folded into the first leg's (smaller) action matrix.
+    Each Sweedler term ``c a_(1) ox ... ox a_(k)`` contributes the products
+    ``c * rho_1(a_(1))[r_1, s_1] * ... * rho_k(a_(k))[r_k, s_k]`` of the legs'
+    nonzero entries at the row-major flat position ``((r_1, ..., r_k),
+    (s_1, ..., s_k))``.  They are added straight into the rows of the result
+    and zero sums are dropped once, at the end, so no Kronecker product or
+    scaled copy of a leg is formed.
     """
     word = _as_word(word)
     f = H.field
@@ -224,12 +227,31 @@ def word_element_action(H: HopfAlgebra, word, a: list) -> Matrix:
         return Matrix.from_rows(f, [[H.counit_apply(a)]])
     if len(word) == 1:
         return word[0].act(a)
-    head, tail = word[0], word[1:]
+    mul, add, zero, one = f.mul, f.add, f.zero, f.one
+    entries = {}  # (leg, basis index) -> nonzero entries of that action matrix
+
+    def leg(pos: int, i: int) -> list:
+        if (pos, i) not in entries:
+            entries[pos, i] = list(word[pos].action[i].nonzero_items())
+        return entries[pos, i]
+
     dim = word_dim(word)
-    return Matrix.combination(f, dim, dim, (
-        (f.one, reduce(Matrix.kron, (m.action[i] for m, i in zip(tail, key[1:])),
-                       head.action[key[0]].scale(c)))
-        for key, c in H.coproduct_iter(len(word) - 1, a).items()))
+    rows = [{} for _ in range(dim)]
+    for key, c in H.coproduct_iter(len(word) - 1, a).items():
+        # every leg but the last widens the flat (row, col, product) entries;
+        # the last one adds its products straight into the rows
+        part = [(r, s, v if c == one else mul(c, v)) for r, s, v in leg(0, key[0])]
+        for pos in range(1, len(word) - 1):
+            d, nxt = word[pos].dim, leg(pos, key[pos])
+            part = [(r * d + r2, s * d + s2, mul(v, w))
+                    for r, s, v in part for r2, s2, w in nxt]
+        d, last = word[-1].dim, leg(len(word) - 1, key[-1])
+        for r, s, v in part:
+            r, s = r * d, s * d
+            for r2, s2, w in last:
+                row, j, x = rows[r + r2], s + s2, mul(v, w)
+                row[j] = add(row[j], x) if j in row else x
+    return Matrix(f, dim, dim, [{s: v for s, v in row.items() if v != zero} for row in rows])
 
 
 @dataclass

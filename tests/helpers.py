@@ -2,11 +2,12 @@
 loop-based axiom oracle (deliberately *not* the library's matrix-identity
 formulation, so axiom names reported by hopf_make can be cross-checked), a
 Kronecker-product evaluator of expression trees, the reference for
-``calculus.evaluate``, the Kronecker/permutation form of the
-comultiplication-algebra-map sides, the reference for the contraction in
-``hopf_make``, the Kronecker-form axiom suite on every column, the
-reference for ``hopf_make``'s sparse suite on generator columns, the
-lambda-loop pivot conditions, the reference for
+``calculus.evaluate``, the Kronecker-sum action of an element on a tensor
+word, the reference for ``hmod.word_element_action``, the
+Kronecker/permutation form of the comultiplication-algebra-map sides, the
+reference for the contraction in ``hopf_make``, the Kronecker-form axiom
+suite on every column, the reference for ``hopf_make``'s sparse suite on
+generator columns, the lambda-loop pivot conditions, the reference for
 ``integrals._pivot_condition_failures``, the right chromatic map
 transported from the left map of H^cop, the reference for
 ``chromatic_right_hopf``, and the iterated coproduct expanded on the last
@@ -14,6 +15,8 @@ leg, the reference for ``HopfAlgebra.coproduct_iter``, and the permutation
 matrices those references build."""
 
 from __future__ import annotations
+
+from functools import reduce
 
 from hopfchrom import (
     HopfAlgebra,
@@ -24,7 +27,7 @@ from hopfchrom import (
     normalized_pair,
 )
 from hopfchrom.calculus import Compose, Ident, Prim, Tensor
-from hopfchrom.hmod import word_dim, word_label, words_match
+from hopfchrom.hmod import _as_word, word_dim, word_label, words_match
 from hopfchrom.hopf import _decode, _delta_products, pairing, vec_scale
 from hopfchrom.linalg import SingularMatrixError
 
@@ -60,6 +63,24 @@ def kron_evaluate(expr) -> Morphism:
         return Morphism(fm.source + gm.source, fm.target + gm.target,
                         fm.matrix.kron(gm.matrix))
     raise MorphismTypeError(f"unknown expression node {expr!r}")
+
+
+def kron_word_element_action(H: HopfAlgebra, word, a: list) -> Matrix:
+    """Action of ``a`` on a tensor word as a sum of Kronecker products, one
+    per Sweedler term with ``c`` folded into the first leg: the reference for
+    ``hmod.word_element_action``."""
+    word = _as_word(word)
+    f = H.field
+    if not word:
+        return Matrix.from_rows(f, [[H.counit_apply(a)]])
+    if len(word) == 1:
+        return word[0].act(a)
+    head, tail = word[0], word[1:]
+    dim = word_dim(word)
+    return Matrix.combination(f, dim, dim, (
+        (f.one, reduce(Matrix.kron, (m.action[i] for m, i in zip(tail, key[1:])),
+                       head.action[key[0]].scale(c)))
+        for key, c in H.coproduct_iter(len(word) - 1, a).items()))
 
 
 def coproduct_iter_last(H: HopfAlgebra, k: int, a: list) -> dict:

@@ -242,19 +242,34 @@ def test_expr_builds_each_dual_once(monkeypatch, capsys):
     assert labels.count("ld(H)") == 1
 
 
-def test_dual_module_is_shared_while_in_use(h4):
-    import weakref
+def test_dual_module_is_built_once_per_module_and_side(h4, monkeypatch, capsys):
+    from collections import Counter
 
     from hopfchrom import HModule
+    from hopfchrom.cli import main
 
-    # a module of its own: regular_module(h4) is kept on h4, and a hypothesis
-    # strategy cached by an earlier test may still hold that module's dual
+    built = Counter()
+    init = HModule.__init__
+
+    def counted(self, H, dim, action, label):
+        built[label] += 1
+        init(self, H, dim, action, label)
+
+    monkeypatch.setattr(HModule, "__init__", counted)
+    # a module of its own: regular_module(h4) is kept on h4, and an earlier
+    # test may already have built its duals
     G = HModule(h4, h4.dim, regular_module(h4).action, "H")
     for side in ("left", "right"):
         assert dual_module(G, side) is dual_module(G, side)
     assert dual_module(G, "left") is not dual_module(G, "right")
-    D = dual_module(G, "left")
-    gone = weakref.ref(D)
-    del D  # the module does not keep its dual alive
-    assert gone() is None
+    dual_module(dual_module(G, "left"), "left")
+    dual_module(dual_module(G, "left"), "left")  # no caller kept the first one
+    assert built == {"H": 1, "ld(H)": 1, "rd(H)": 1, "ld(ld(H))": 1}
     assert dual_module(G, "left").same_as(dual_module(regular_module(h4), "left"))
+
+    # a whole grid builds each dual of the regular module once
+    built.clear()
+    assert main(["check", "--builtin", "taft:3", "--field", "GF:7"]) == 0
+    capsys.readouterr()
+    for label in ("ld(H)", "ld(ld(H))", "rd(H)", "rd(rd(H))"):
+        assert built[label] == 1, (label, built)

@@ -396,7 +396,9 @@ def test_evaluate_builds_no_kronecker_product(t3, monkeypatch):
     for side, c in maps.items():
         for c_P in (c, chromatic_retract(c, fam)):
             assert verify_chromatic_identity(c_P, G).equal
-    assert calls["evaluate"] > 4 and calls["outside"] > 0
+    assert calls["evaluate"] > 4 and calls["outside"] == 0
+    G.action[0].kron(G.action[0])  # the tracker is installed
+    assert calls["outside"] == 1
     assert calls["inside"] == 0
 
 

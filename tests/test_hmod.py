@@ -1,4 +1,5 @@
 import pytest
+from helpers import kron_word_element_action
 
 from hopfchrom import (
     Matrix,
@@ -22,7 +23,7 @@ from hopfchrom import (
     word_element_action,
 )
 from hopfchrom.calculus import Prim, compose, evaluate, identity, tensor
-from hopfchrom.cli import _make_builtin, _parse_field
+from hopfchrom.cli import _make_builtin, _parse_field, main
 
 
 def test_module_make_regular_and_trivial(z2):
@@ -188,6 +189,54 @@ def test_word_actions(h4, corpus_data):
     v = h4.element({0: 2, 2: 5})
     assert word_element_action(h4, (reg, triv), v) == \
         tensor_module(reg, triv).act(v)
+
+
+def test_word_element_action_matches_the_kronecker_sum(corpus_data):
+    """The one-pass kernel equals the sum of one Kronecker product per
+    Sweedler term, entry for entry, on every word of at most three legs.
+    Every word is acted on by S^{-+1}(Lambda) (the Lambda-transformations)
+    and a random element; words of at most two legs also by every basis
+    vector and a second random element, three-leg words by the algebra
+    generators (what ``is_h_linear`` applies)."""
+    import itertools
+    import random
+
+    rng = random.Random(19)
+    for name, (H, d) in corpus_data.items():
+        G = regular_module(H)
+        mods = [G, trivial_module(H), alpha_module(H), dual_module(G, "left"),
+                dual_module(G, "right")]
+        f = H.field
+        lams = [H.antipode_inverse_apply(d.left_cointegral),
+                H.antipode_apply(d.left_cointegral)]
+        randoms = [[f.from_int(rng.randrange(-3, 4)) for _ in range(H.dim)]
+                   for _ in range(2)]
+        for r in range(4):
+            if r < 3:
+                elements = [H.basis_vector(k) for k in range(H.dim)] + randoms
+            else:
+                elements = [H.basis_vector(k) for k in H.algebra_generators()] + randoms[:1]
+            for word in itertools.product(mods, repeat=r):
+                for a in elements + lams:
+                    assert word_element_action(H, word, a) == \
+                        kron_word_element_action(H, word, a), (name, word, a)
+
+
+def test_check_builds_no_kronecker_product(monkeypatch, capsys):
+    calls = []
+    kron = Matrix.kron
+
+    def tracked(self, other):
+        calls.append((self.shape, other.shape))
+        return kron(self, other)
+
+    monkeypatch.setattr(Matrix, "kron", tracked)
+    assert main(["check", "--builtin", "taft:3", "--field", "GF:7"]) == 0
+    capsys.readouterr()
+    assert calls == []
+    f = _parse_field("GF:7")
+    Matrix.identity(f, 2).kron(Matrix.identity(f, 2))  # the tracker is installed
+    assert calls == [((2, 2), (2, 2))]
 
 
 def test_pivotal_evaluations_with_both_z2_pivots(corpus_data):
