@@ -294,9 +294,9 @@ class ExprEnv:
 
     @functools.cached_property
     def pivot(self):
-        """The chosen pivot, or None when H is not spherical; the search's
-        PivotSearchInconclusive propagates, on every access, when it cannot
-        decide."""
+        """The chosen pivot, or None when H is not spherical; an undecided
+        search that found a pivot still chooses it, and one that found none
+        propagates PivotSearchInconclusive, on every access."""
         from .integrals import is_spherical_hmod
 
         return is_spherical_hmod(self.H)[1]

@@ -157,12 +157,10 @@ def cmd_integrals(args) -> int:
     data = normalized_pair(H)
     f = H.field
     unimodular = is_unimodular(H)
-    pivots = None
-    pivots_note = None
     try:
-        pivots = pivot_candidates(H)
+        pivots, pivots_note = pivot_candidates(H), None
     except PivotSearchInconclusive as exc:
-        pivots_note = str(exc)
+        pivots, pivots_note = exc.pivots, str(exc)
     spherical = bool(unimodular and pivots)
     payload = {
         "algebra": H.name,
@@ -174,7 +172,7 @@ def cmd_integrals(args) -> int:
         "alpha": H.format_vector(data.alpha),
         "distinguished_grouplike": H.format_vector(data.distinguished_grouplike),
         "unimodular": unimodular,
-        "pivot_candidates": [H.format_vector(p.g) for p in pivots] if pivots else [],
+        "pivot_candidates": [H.format_vector(p.g) for p in pivots],
         "pivot_search": pivots_note or "done",
         "spherical": spherical,
         "chosen_pivot": H.format_vector(pivots[0].g) if spherical else None,
@@ -190,8 +188,7 @@ def cmd_integrals(args) -> int:
     ]
     if pivots_note:
         lines.append(f"pivot search          : {pivots_note}")
-    else:
-        lines.append(f"pivot candidates      : {payload['pivot_candidates'] or '(none)'}")
+    lines.append(f"pivot candidates      : {payload['pivot_candidates'] or '(none)'}")
     lines.append(f"spherical             : {'yes, pivot ' + str(payload['chosen_pivot']) if spherical else 'no'}")
     _emit(args, payload, lines)
     return EXIT_OK

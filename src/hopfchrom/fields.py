@@ -128,13 +128,6 @@ class Field:
             k >>= 1
         return acc
 
-    @property
-    def finite(self) -> bool:
-        return False
-
-    def elements(self):
-        raise FieldError(f"{self.spec} is not finite")
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Field) and self.spec == other.spec
 
@@ -227,13 +220,6 @@ class PrimeField(Field):
 
     def characteristic(self) -> int:
         return self.p
-
-    @property
-    def finite(self) -> bool:
-        return True
-
-    def elements(self):
-        return range(self.p)
 
 
 def _euler_phi(n: int) -> int:
@@ -375,7 +361,7 @@ class CyclotomicField(Field):
         while any(r1):
             q, rem = _poly_divmod(_Q, r0, r1)
             r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+            s0, s1 = s1, _poly_sub(_Q, s0, _poly_mul(_Q, q, s1))
         # r0 is a nonzero constant gcd since the modulus is irreducible
         deg0 = _poly_deg(_Q, r0)
         assert deg0 == 0, "cyclotomic modulus is irreducible"
@@ -434,19 +420,19 @@ def _poly_deg(field: Field, p: list) -> int:
     return -1
 
 
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _poly_sub(field: Field, a: list, b: list) -> list:
     n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+    a = a + [field.zero] * (n - len(a))
+    b = b + [field.zero] * (n - len(b))
+    return [field.sub(x, y) for x, y in zip(a, b)]
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _poly_mul(field: Field, a: list, b: list) -> list:
+    out = [field.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x:
+        if x != field.zero:
             for j, y in enumerate(b):
-                out[i + j] += x * y
+                out[i + j] = field.add(out[i + j], field.mul(x, y))
     return out
 
 
@@ -480,16 +466,6 @@ def field_make(spec: FieldSpec) -> Field:
             raise FieldError("cyclotomic spec needs a conductor n")
         return CyclotomicField(spec.n)
     raise FieldError(f"unknown field kind {spec.kind!r}")
-
-
-def _rational_is_square(q: Fraction):
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
 
 
 def primitive_root_of_unity(field: Field, n: int):

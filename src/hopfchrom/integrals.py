@@ -9,17 +9,19 @@ distinguished grouplike a of H by lambda(h_(2)) h_(1) = lambda(h) a.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
+from fractions import Fraction
 
 from .fields import (
-    CyclotomicField,
     Field,
     PrimeField,
     RationalField,
+    _is_prime,
     _poly_deg,
     _poly_divmod,
-    _rational_is_square,
+    _poly_mul,
+    _poly_sub,
 )
 from .hopf import HopfAlgebra, HopfDataError, pairing, vec_scale
 from .linalg import Matrix, stacked_nullspace
@@ -37,13 +39,14 @@ __all__ = [
     "is_spherical_hmod",
 ]
 
-# The exhaustive pivot search over GF(p) builds at most this many points of
-# the counit slice (uqsl2:3 over GF(13) has 2,197; dualgroup:S3 over GF(7) 16,807).
-PIVOT_EXHAUST_LIMIT = 20000
-
 
 class PivotSearchInconclusive(RuntimeError):
-    """The pivot search could not be made exhaustive and found no candidate."""
+    """The pivot search could not prove it found every pivot; ``pivots``
+    holds those it found."""
+
+    def __init__(self, message: str, pivots=()):
+        super().__init__(message)
+        self.pivots = list(pivots)
 
 
 @dataclass
@@ -87,14 +90,9 @@ def cointegral_space(H: HopfAlgebra, side: str) -> Matrix:
     return _line(H, _eigen_space(H, mult, H.counit), f"{side} cointegral")
 
 
-def integral_space(H: HopfAlgebra, side: str) -> Matrix:
-    """Basis (one column) of left or right integrals in H*.
-
-    The eigenspace of the regular action of H* with the counit of H* as
-    eigenvalue: lambda e^j = e^j(1) lambda (right) or e^i lambda = e^i(1)
-    lambda (left), where ``R_j[k][i] = c_k^{ij}`` is the matrix of
-    ``phi -> phi e^j`` and ``L_i[k][j] = c_k^{ij}`` that of ``phi -> e^i phi``.
-    """
+def _dual_regular_matrices(H: HopfAlgebra, side: str) -> list[Matrix]:
+    """Matrices of ``phi -> phi e^j`` (right) or ``phi -> e^i phi`` (left) on
+    H* in the dual basis: ``R_j[k][i] = c_k^{ij}`` and ``L_i[k][j] = c_k^{ij}``."""
     n = H.dim
     slices = [{} for _ in range(n)]
     for k, terms in enumerate(H.comult):
@@ -103,7 +101,17 @@ def integral_space(H: HopfAlgebra, side: str) -> Matrix:
                 slices[j][(k, i)] = c
             else:
                 slices[i][(k, j)] = c
-    mats = [Matrix.from_entries(H.field, n, n, e) for e in slices]
+    return [Matrix.from_entries(H.field, n, n, e) for e in slices]
+
+
+def integral_space(H: HopfAlgebra, side: str) -> Matrix:
+    """Basis (one column) of left or right integrals in H*.
+
+    The eigenspace of the regular action of H* with the counit of H* as
+    eigenvalue: lambda e^j = e^j(1) lambda (right) or e^i lambda = e^i(1)
+    lambda (left).
+    """
+    mats = _dual_regular_matrices(H, side)
     return _line(H, _eigen_space(H, mats.__getitem__, H.unit), f"{side} integral")
 
 
@@ -206,6 +214,126 @@ def is_unimodular(H: HopfAlgebra) -> bool:
     return list(normalized_pair(H).alpha) == list(H.counit)
 
 
+# -- roots in F of one polynomial, coefficients low degree first ---------------
+
+def _poly_trim(field: Field, p: list) -> list:
+    """``p`` without its zero leading coefficients."""
+    return p[:_poly_deg(field, p) + 1]
+
+
+def _poly_gcd(field: Field, a: list, b: list) -> list:
+    """Monic gcd by Euclid's remainders, trimmed; ``[]`` for two zeros."""
+    while _poly_deg(field, b) >= 0:
+        a, b = b, _poly_divmod(field, a, b)[1]
+    a = _poly_trim(field, a)
+    if a:
+        lead = field.inv(a[-1])
+        a = [field.mul(lead, c) for c in a]
+    return a
+
+
+def _poly_powmod(field: Field, base: list, k: int, m: list) -> list:
+    """``base^k mod m``, by repeated squaring."""
+    def mulmod(a, b):
+        return _poly_trim(field, _poly_divmod(field, _poly_mul(field, a, b), m)[1])
+
+    acc = [field.one]
+    while k:
+        if k & 1:
+            acc = mulmod(acc, base)
+        base = mulmod(base, base)
+        k >>= 1
+    return acc
+
+
+def _prime_field_roots(f: PrimeField, poly: list) -> list:
+    """Roots of ``poly`` in GF(p).  Its gcd with x^p - x is the product of
+    x - r over them, split by gcds with (x + d)^((p-1)/2) - 1 (von zur Gathen
+    and Gerhard, *Modern Computer Algebra*, ch. 14)."""
+    def split(g):
+        if len(g) <= 2:
+            return [f.neg(g[0])] if len(g) == 2 else []
+        if f.p == 2:  # (p - 1)/2 = 0; x^2 + x is the one split g of degree 2
+            return [0, 1]
+        for d in range(f.p):  # r - s for two roots r != s: some d tells them apart
+            h = _poly_gcd(f, g, _poly_sub(f, _poly_powmod(f, [d, 1], (f.p - 1) // 2, g), [1]))
+            if 2 <= len(h) < len(g):
+                return split(h) + split(_poly_divmod(f, g, h)[0])
+        raise AssertionError(f"{g} does not split over {f.spec}")
+
+    return split(_poly_gcd(f, poly, _poly_sub(f, _poly_powmod(f, [0, 1], f.p, poly), [0, 1])))
+
+
+def _rational_roots(coeffs: list) -> list:
+    """Rational roots of a monic rational polynomial p.  With D clearing its
+    denominators, q(y) = D^deg p(y / D) is monic over Z, so its rational roots
+    are integers within the Cauchy bound B: the roots of q mod a prime P > 2B,
+    read in (-P/2, P/2) and tested exactly."""
+    D, deg = math.lcm(*(c.denominator for c in coeffs)), len(coeffs) - 1
+    q = [int(c * D ** (deg - i)) for i, c in enumerate(coeffs)]
+    P = 2 * max(map(abs, q)) + 3
+    while not _is_prime(P):
+        P += 2
+    found = _prime_field_roots(PrimeField(P), [c % P for c in q])
+    found = [r if 2 * r < P else r - P for r in found]
+    return sorted(Fraction(r, D) for r in found if sum(c * r ** i for i, c in enumerate(q)) == 0)
+
+
+def _roots(field: Field, poly: list):
+    """``(roots, unsplit)``: the sorted roots in ``field`` of the monic
+    ``poly`` that the search finds, and the factor they leave, or None when
+    they are all the roots.  That holds over GF(p) and Q.  Over Q(zeta_n)
+    the candidates are the roots of unity +-zeta^k and the rational roots of
+    the rational part of ``poly`` (a rational root zeroes every coordinate).
+    """
+    if isinstance(field, PrimeField):
+        return sorted(_prime_field_roots(field, poly)), None
+    if isinstance(field, RationalField):
+        return _rational_roots(poly), None
+    candidates = [field.coerce(r) for r in _rational_roots([Fraction(c[0], c[-1]) for c in poly])]
+    candidates += [field.pow(z, k) for z in (field.zeta, field.neg(field.zeta))
+                   for k in range(field.n)]
+    roots = set()
+    for r in candidates:  # divide each root out as often as it divides
+        while (qr := _poly_divmod(field, poly, [field.neg(r), field.one]))[1][0] == field.zero:
+            poly = qr[0]
+            roots.add(r)
+    if len(poly) == 2:  # a linear factor has its root in F
+        roots.add(field.neg(poly[0]))
+    return sorted(roots), (poly if len(poly) > 2 else None)
+
+
+def _char_poly(f: Field, A: Matrix) -> list:
+    """Characteristic polynomial of the square ``A``, monic, through its
+    Hessenberg form (Cohen, *A Course in Computational Algebraic Number
+    Theory*, 1993, alg. 2.2.9)."""
+    n, h = A.nrows, A.dense()
+    for m in range(1, n - 1):  # clear column m - 1 below row m by similarities
+        i = next((i for i in range(m, n) if h[i][m - 1] != f.zero), None)
+        if i is None:
+            continue
+        h[i], h[m] = h[m], h[i]
+        for row in h:
+            row[i], row[m] = row[m], row[i]
+        t = f.inv(h[m][m - 1])
+        for i in range(m + 1, n):
+            if (u := f.mul(h[i][m - 1], t)) != f.zero:
+                h[i] = [f.sub(x, f.mul(u, y)) for x, y in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = f.add(row[m], f.mul(u, row[i]))
+    # p_{m+1} = (x - h_mm) p_m - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_i
+    polys = [[f.one]]
+    for m in range(n):
+        p = _poly_sub(f, [f.zero] + polys[m], [f.mul(h[m][m], c) for c in polys[m]])
+        prod = f.one
+        for i in range(m - 1, -1, -1):
+            if (prod := f.mul(prod, h[i + 1][i])) == f.zero:
+                break
+            p = _poly_sub(f, p, [f.mul(f.mul(h[i][m], prod), c) for c in polys[i]])
+        polys.append(p)
+    return polys[n]
+
+
 # -- pivot search -------------------------------------------------------------
 
 def _pivot_condition_failures(H: HopfAlgebra, v: list) -> list[str]:
@@ -229,12 +357,8 @@ def _pivot_condition_failures(H: HopfAlgebra, v: list) -> list[str]:
 
 
 def _is_pivot(H: HopfAlgebra, v: list) -> bool:
-    """Whether ``v`` is a pivot.  eps(v) = 1 (one pairing) and v^2 = a (one
-    product) are necessary, so only candidates passing both reach the full
-    three-condition check."""
-    return (H.counit_apply(v) == H.field.one
-            and H.multiply(v, v) == normalized_pair(H).distinguished_grouplike
-            and not _pivot_condition_failures(H, v))
+    """Whether ``v`` is a pivot: the search's one test of a candidate."""
+    return not _pivot_condition_failures(H, v)
 
 
 def _intertwiner_space(H: HopfAlgebra) -> Matrix:
@@ -246,183 +370,82 @@ def _intertwiner_space(H: HopfAlgebra) -> Matrix:
     return stacked_nullspace(blocks)
 
 
-def _poly_trim(field: Field, p: list) -> list:
-    """``p`` without its zero leading coefficients."""
-    return p[:_poly_deg(field, p) + 1]
-
-
-def _poly_gcd(field: Field, a: list, b: list) -> list:
-    """Monic gcd by Euclid's remainders, trimmed; ``[]`` for two zeros."""
-    while _poly_deg(field, b) >= 0:
-        a, b = b, _poly_divmod(field, a, b)[1]
-    a = _poly_trim(field, a)
-    if a:
-        lead = field.inv(a[-1])
-        a = [field.mul(lead, c) for c in a]
-    return a
-
-
-def _quadratic_roots(field: Field, c0, c1, c2):
-    """Roots in the field of c2 s^2 + c1 s + c0; (roots, search_complete)."""
-    if c2 == field.zero:
-        if c1 == field.zero:
-            return [], True  # nonzero constant (the zero poly never reaches here)
-        return [field.neg(field.div(c0, c1))], True
-    if isinstance(field, PrimeField):
-        if field.p <= 20011:
-            roots = [
-                s for s in field.elements()
-                if field.add(field.mul(c2, field.mul(s, s)),
-                             field.add(field.mul(c1, s), c0)) == field.zero
-            ]
-            return roots, True
-        return [], False
-    if isinstance(field, (RationalField, CyclotomicField)):
-        cyc = isinstance(field, CyclotomicField)
-        if cyc:  # solvable here only when the polynomial has rational coefficients
-            c0, c1, c2 = (field.rational(c) for c in (c0, c1, c2))
-            if None in (c0, c1, c2):
-                return [], False
-        rt = _rational_is_square(c1 * c1 - 4 * c2 * c0)
-        if rt is None:  # no rational root: the search is exhaustive over Q only
-            return [], not cyc
-        roots = sorted({(-c1 + rt) / (2 * c2), (-c1 - rt) / (2 * c2)})
-        return [field.coerce(r) for r in roots], True
-    return [], False
-
-
-def _grouplikes_on_plane(H: HopfAlgebra, u1: list, u2: list):
-    """All grouplike s*u1 + t*u2; returns (vectors, search_complete)."""
-    f = H.field
-    e1 = H.counit_apply(u1)
-    e2 = H.counit_apply(u2)
-    if e1 == f.zero and e2 == f.zero:
-        return [], True  # eps(v) = 1 unreachable
-    if e2 == f.zero:
-        u1, u2 = u2, u1
-        e1, e2 = e2, e1
-    # eliminate t along the counit line: t = alpha + beta s
-    al = f.inv(e2)
-    be = f.neg(f.div(e1, e2))
-    d1 = H.coproduct(u1)
-    d2 = H.coproduct(u2)
-    polys = []
-    for i in range(H.dim):
-        for j in range(H.dim):
-            key = (i, j)
-            lin1 = d1.get(key, f.zero)
-            lin2 = d2.get(key, f.zero)
-            qss = f.mul(u1[i], u1[j])
-            qst = f.add(f.mul(u1[i], u2[j]), f.mul(u2[i], u1[j]))
-            qtt = f.mul(u2[i], u2[j])
-            # Delta(v)_ij - (v ox v)_ij with t substituted, as a poly in s
-            c2 = f.neg(f.add(qss, f.add(f.mul(qst, be), f.mul(qtt, f.mul(be, be)))))
-            c1 = f.sub(
-                f.add(lin1, f.mul(lin2, be)),
-                f.add(f.mul(qst, al), f.mul(f.from_int(2), f.mul(qtt, f.mul(al, be)))),
-            )
-            c0 = f.sub(f.mul(lin2, al), f.mul(qtt, f.mul(al, al)))
-            poly = _poly_trim(f, [c0, c1, c2])
-            if poly:
-                polys.append(poly)
-    if not polys:
-        return [], False  # every point of the line grouplike: impossible, bail out
-    g = polys[0]
-    for p in polys[1:]:
-        g = _poly_gcd(f, g, p)
-        if len(g) == 1:
-            return [], True  # constant gcd: no common root
-    if len(g) == 1:
-        return [], True
-    if len(g) == 2:
-        roots, complete = [f.neg(f.div(g[0], g[1]))], True
-    else:
-        roots, complete = _quadratic_roots(f, g[0], g[1], g[2])
-    out = []
-    for s in roots:
-        t = f.add(al, f.mul(be, s))
-        v = [f.add(f.mul(s, x), f.mul(t, y)) for x, y in zip(u1, u2)]
-        out.append(v)
-    return out, complete
+def _grouplike_space(W: Matrix, eps: list):
+    """``(B, P)``: the reduced echelon basis B (rows) of the row space of ``W``
+    and its pivot columns P; None when eps vanishes there (no grouplike)."""
+    R, rank, pivots = W.rref()
+    B = Matrix.from_rows(W.field, [R.row_list(r) for r in range(rank)])
+    return (B, pivots) if rank and any(x != W.field.zero for x in B.apply(eps)) else None
 
 
 def pivot_candidates(H: HopfAlgebra):
-    """All pivots found: grouplike g with S^2 = conj(g), unibalanced via lambda.
+    """All pivots of H: the grouplikes g in the intertwiner space V of
+    S^2(h) v = v h that pass ``_is_pivot``; the unit first, then basis
+    vectors in basis order, then the rest in the search's order.
 
-    The intertwiner space V of S^2(h) v = v h is searched completely when
-    dim V <= 2 (counit-line elimination plus exact quadratic roots) or when
-    the field is finite and the slice eps(v) = 1 of V, which has |F|^(dim V - 1)
-    points or none, has at most PIVOT_EXHAUST_LIMIT points; the unit and the
-    basis vectors are always tested.  The exhaustive branch builds
-    only the points of that slice, and every candidate is checked by
-    ``_is_pivot``: eps(v) = 1, then v^2 = a, then all three conditions.  Raises
-    PivotSearchInconclusive when the search was not exhaustive and nothing
-    was found -- distinct from a definitive empty answer.
+    g is a joint eigenvector of R_j(v) = v_(1) e^j(v_(2)), R_j[i][k] = c_k^{ij},
+    with eigenvalue g_j, and a joint eigenspace of all R_j is
+    {v : Delta(v) = v ox g'}, at most a line (Montgomery, *Hopf Algebras and
+    Their Actions on Rings*, 1993).  So the search peels V: for j = 0, 1, ...
+    a space of dim >= 2, with reduced echelon basis B and pivot columns P,
+    becomes the spaces {B c : phi(R_j) B c = 0}, one for each x - l over the
+    roots l in F of the characteristic polynomial of (R_j B)_P (for g = B c,
+    (R_j B)_P c = g_j c), and one for the factor ``_roots`` leaves unsplit.
+    Spaces where eps vanishes are dropped.  Each grouplike of V stays in
+    exactly one space, so the lines left hold every pivot, unless an unsplit
+    factor (over Q(zeta_n) only) leaves a space of dim >= 2: then
+    PivotSearchInconclusive carries the pivots found and names the factor.
     """
-    f = H.field
-    V = _intertwiner_space(H)
-    d = V.ncols
-    candidates: list[list] = []
-    complete = False
-    if d == 0:
-        complete = True
-    elif d == 1:
-        u1 = V.col_list(0)
-        e1 = H.counit_apply(u1)
-        if e1 != f.zero:
-            candidates.append(vec_scale(f, f.inv(e1), u1))
-        complete = True
-    elif d == 2:
-        vecs, complete = _grouplikes_on_plane(H, V.col_list(0), V.col_list(1))
-        candidates.extend(vecs)
-    if not complete and f.finite:
-        # eps(V c) = sum_k c_k eps(u_k), so the slice eps = 1 is empty when
-        # eps vanishes on V; else it has |F|^(d-1) points, c_m fixed by the
-        # others for the last m with eps(u_m) != 0, built in lexicographic order
-        eps = [H.counit_apply(V.col_list(k)) for k in range(d)]
-        live = [k for k in range(d) if eps[k] != f.zero]
-        if not live:
-            complete = True
-        elif f.characteristic() ** (d - 1) <= PIVOT_EXHAUST_LIMIT:
-            m = live[-1]
-            inv_m = f.inv(eps[m])
-            for rest in product(f.elements(), repeat=d - 1):
-                c_m = f.mul(inv_m, f.sub(f.one, pairing(f, eps, rest[:m])))
-                candidates.append(V.apply([*rest[:m], c_m, *rest[m:]]))
-            complete = True
-    # cheap deterministic candidates, useful when the search is not complete
-    candidates.append(H.unit_vector())
-    candidates.extend(H.basis_vector(i) for i in range(H.dim))
-
-    seen = set()
-    found = []
-    for v in candidates:
-        key = tuple(v)
-        if key in seen:
-            continue
-        seen.add(key)
-        if _is_pivot(H, v):
-            found.append(v)
-    if not found and not complete:
-        raise PivotSearchInconclusive(
-            f"pivot search inconclusive for {H.name}: dim V = {d} over {f.spec}"
-        )
-
-    # the unit first, then basis vectors in basis order, then the rest as found
+    f, eps = H.field, list(H.counit)
+    V = _grouplike_space(_intertwiner_space(H).transpose(), eps)
+    spaces = [(*V, None)] if V else []  # (B, P, the last unsplit factor)
+    for Rt in _dual_regular_matrices(H, "right"):  # R_j transposed
+        if all(B.nrows == 1 for B, _, _ in spaces):
+            break
+        peeled = []
+        for B, P, note in spaces:
+            if B.nrows == 1:
+                peeled.append((B, P, note))
+                continue
+            powers = [B, B @ Rt]  # rows R_j^k b for the basis rows b of B
+            Mt = Matrix.from_rows(f, [[row[p] for p in P] for row in powers[1].dense()])
+            roots, unsplit = _roots(f, _char_poly(f, Mt))
+            for phi in [[f.neg(lam), f.one] for lam in roots] + ([unsplit] if unsplit else []):
+                while len(powers) < len(phi):
+                    powers.append(powers[-1] @ Rt)
+                N = Matrix.combination(f, B.nrows, H.dim, zip(phi, powers)).transpose().nullspace()
+                if (child := _grouplike_space(N.transpose() @ B, eps)):
+                    peeled.append((*child, phi if phi is unsplit else note))
+        spaces = peeled
+    lines = [B.row_list(0) for B, _, _ in spaces if B.nrows == 1]
+    found = [g for g in (vec_scale(f, f.inv(H.counit_apply(v)), v) for v in lines)
+             if _is_pivot(H, g)]
     fixed = [H.unit_vector()] + [H.basis_vector(i) for i in range(H.dim)]
-    found.sort(key=lambda v: fixed.index(v) if v in fixed else len(fixed))
-    return [PivotData(g=v) for v in found]
+    pivots = [PivotData(g=v) for v in sorted(
+        found, key=lambda v: fixed.index(v) if v in fixed else len(fixed))]
+    left = [note for B, _, note in spaces if B.nrows > 1]
+    if left:
+        raise PivotSearchInconclusive(
+            f"pivot search inconclusive for {H.name}: the rational roots and roots of unity "
+            f"of {f.spec} do not split the eigenvalue polynomial {H.format_vector(left[0])} "
+            f"(constant term first), so {len(left)} space(s) of dim >= 2 remain", pivots)
+    return pivots
 
 
 def is_spherical_hmod(H: HopfAlgebra):
     """(spherical?, chosen pivot): unimodular and unibalanced-pivotal.
 
-    The chosen pivot is deterministic: the unit if valid, else the first
-    valid basis vector, else the first remaining candidate.
+    The chosen pivot is the first ``pivot_candidates`` lists: the unit if
+    valid, else the first valid basis vector, else the first of the rest.  An
+    inconclusive search that found a pivot still decides H spherical with it;
+    one that found none propagates PivotSearchInconclusive.
     """
     if not is_unimodular(H):
         return False, None
-    pivots = pivot_candidates(H)
-    if not pivots:
-        return False, None
-    return True, pivots[0]
+    try:
+        pivots = pivot_candidates(H)
+    except PivotSearchInconclusive as exc:
+        if not exc.pivots:
+            raise
+        pivots = exc.pivots
+    return (True, pivots[0]) if pivots else (False, None)

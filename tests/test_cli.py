@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from hopfchrom import algebra_to_dict, hopf_make, save_algebra
+from hopfchrom import Matrix, algebra_to_dict, hopf_make, save_algebra
 from hopfchrom.cli import _make_builtin, _parse_field, main
 
 
@@ -108,36 +108,30 @@ def test_check_spherical_on_nonspherical_fails(capsys):
 
 
 @pytest.fixture(scope="module")
-def rotated_uqsl2_file(tmp_path_factory):
-    """uqsl2:3 over GF(31) in the basis with b_K = e_K + 1: K is no longer a
-    basis vector, and the counit slice has 31^3 points, too many to search."""
-    H = _make_builtin("uqsl2:3", _parse_field("GF:31"))
-    f, n, K = H.field, H.dim, H.basis_names.index("K")
-    new = [H.basis_vector(i) for i in range(n)]
-    new[K] = [f.add(x, y) for x, y in zip(new[K], H.unit_vector())]
-    back = [H.basis_vector(i) for i in range(n)]  # e_K = b_K - b_1
-    back[K] = [f.sub(x, y) for x, y in zip(back[K], H.unit_vector())]
-
-    def to_new(v):
-        out = [f.zero] * n
-        for i, x in enumerate(v):
-            for j, y in enumerate(back[i]):
-                out[j] = f.add(out[j], f.mul(x, y))
-        return out
-
+def undecided_file(tmp_path_factory):
+    """dualgroup:Z2 over Q(zeta_3) in the basis b_0 = 2 + zeta chi,
+    b_1 = zeta + 2 chi, for the characters 1 and chi = (1, -1): no coordinate
+    of either grouplike is rational or a root of unity, so the pivot search
+    splits no eigenvalue polynomial and cannot decide."""
+    H = _make_builtin("dualgroup:Z2", _parse_field("Cyc:3"))
+    f, n = H.field, H.dim
+    one, chi, two = H.unit_vector(), H.element([1, -1]), f.from_int(2)
+    new = [[f.add(f.mul(a, x), f.mul(b, y)) for x, y in zip(one, chi)]
+           for a, b in ((two, f.zeta), (f.zeta, two))]
+    back = Matrix.from_columns(f, new).inverse()  # old coordinates to new ones
     mult = [(i, j, k, c) for i in range(n) for j in range(n)
-            for k, c in enumerate(to_new(H.multiply(new[i], new[j])))]
+            for k, c in enumerate(back.apply(H.multiply(new[i], new[j])))]
     comult = []
     for k in range(n):
         for (p, q), c in H.coproduct(new[k]).items():
             comult += [(k, a, b, f.mul(c, f.mul(x, y)))
-                       for a, x in enumerate(back[p]) if x != f.zero
-                       for b, y in enumerate(back[q]) if y != f.zero]
+                       for a, x in enumerate(back.col_list(p)) if x != f.zero
+                       for b, y in enumerate(back.col_list(q)) if y != f.zero]
     antipode = [(i, j, c) for j in range(n)
-                for i, c in enumerate(to_new(H.antipode_apply(new[j])))]
-    R = hopf_make(f, H.basis_names, mult, to_new(H.unit_vector()), comult,
-                  [H.counit_apply(v) for v in new], antipode, name="uqsl2-rot")
-    path = tmp_path_factory.mktemp("rot") / "uqsl2-rot.json"
+                for i, c in enumerate(back.apply(H.antipode_apply(new[j])))]
+    R = hopf_make(f, H.basis_names, mult, back.apply(H.unit_vector()), comult,
+                  [H.counit_apply(v) for v in new], antipode, name="dz2-rot")
+    path = tmp_path_factory.mktemp("rot") / "dz2-rot.json"
     save_algebra(R, str(path))
     return str(path)
 
@@ -147,26 +141,26 @@ def rotated_uqsl2_file(tmp_path_factory):
     ["check", "--side", "spherical"],
     ["check", "--expr", "cSph"],
 ])
-def test_spherical_requests_share_one_pivot_policy(capsys, rotated_uqsl2_file, args):
+def test_spherical_requests_share_one_pivot_policy(capsys, undecided_file, args):
     # an inconclusive pivot search is an input error with the search's message
-    code, _, err = run(capsys, args[0], rotated_uqsl2_file, *args[1:])
-    assert code == 2 and "pivot search inconclusive for uqsl2-rot" in err
+    code, _, err = run(capsys, args[0], undecided_file, *args[1:])
+    assert code == 2 and "pivot search inconclusive for dz2-rot" in err
     # a decidedly non-spherical algebra is a verification failure
     code, _, err = run(capsys, *args, "--builtin", "taft:3", "--field", "GF:7")
     assert code == 1 and "taft:3 is not spherical" in err
 
 
-def test_check_all_skips_an_undecided_spherical_row(capsys, rotated_uqsl2_file):
-    code, out, _ = run(capsys, "check", rotated_uqsl2_file, "--modules", "trivial",
+def test_check_all_skips_an_undecided_spherical_row(capsys, undecided_file):
+    code, out, _ = run(capsys, "check", undecided_file, "--modules", "trivial",
                        "--no-split")
     assert code == 0 and out.startswith("spherical row skipped: pivot search inconclusive")
     assert "side=spherical" not in out and "all identities hold (2 checks)" in out
-    code, out, _ = run(capsys, "check", rotated_uqsl2_file, "--modules", "trivial",
+    code, out, _ = run(capsys, "check", undecided_file, "--modules", "trivial",
                        "--no-split", "--json")
     payload = json.loads(out)
     assert code == 0 and len(payload["grid"]) == 2
     assert [s.split(":")[0] for s in payload["skipped"]] == ["spherical row skipped"]
-    assert "pivot search inconclusive for uqsl2-rot" in payload["skipped"][0]
+    assert "pivot search inconclusive for dz2-rot" in payload["skipped"][0]
 
 
 def test_check_modules_accept_expression_names(capsys):
@@ -279,6 +273,28 @@ def test_chromatic_right_dump_and_integrals_pivot(capsys):
     assert payload["spherical"] is True
     assert payload["chosen_pivot"] == ["1", "0"]
     assert payload["pivot_candidates"] == [["1", "0"], ["0", "1"]]
+
+
+def test_integrals_lists_the_pivots_an_undecided_search_found(capsys, undecided_file,
+                                                             monkeypatch):
+    code, out, _ = run(capsys, "integrals", undecided_file, "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["pivot_candidates"] == [] and not payload["spherical"]
+    assert payload["pivot_search"].startswith("pivot search inconclusive for dz2-rot")
+    assert "Q(zeta_3)" in payload["pivot_search"]
+    from hopfchrom import PivotData, PivotSearchInconclusive, cli
+
+    def undecided(H):
+        raise PivotSearchInconclusive("undecided", [PivotData(g=H.basis_vector(1))])
+
+    monkeypatch.setattr(cli, "pivot_candidates", undecided)
+    code, out, _ = run(capsys, "integrals", "--builtin", "group:Z2", "--json")
+    payload = json.loads(out)
+    assert payload["pivot_search"] == "undecided" and payload["spherical"] is True
+    assert payload["pivot_candidates"] == [["0", "1"]] == [payload["chosen_pivot"]]
+    code, out, _ = run(capsys, "integrals", "--builtin", "group:Z2")
+    assert "pivot search          : undecided" in out
+    assert "pivot candidates      : [['0', '1']]" in out
 
 
 def test_check_json_spherical_grid(capsys):

@@ -47,6 +47,7 @@ CASES = {
                                   "--side", "left"],
     "verify-uqsl2-3-gf7": ["verify", "--builtin", "uqsl2:3", "--field", "GF:7"],
     "integrals-dualgroup-Z3": ["integrals", "--builtin", "dualgroup:Z3"],
+    "integrals-dualgroup-S3-q": ["integrals", "--builtin", "dualgroup:S3"],
     "check-expr-left-z2": ["check", "--builtin", "group:Z2", "--expr", README_LEFT_IDENTITY,
                            "--equals", "id(triv,H)"],
     "check-spherical-uqsl2-3-gf7": ["check", "--builtin", "uqsl2:3", "--field", "GF:7",

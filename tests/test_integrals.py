@@ -1,35 +1,40 @@
 import inspect
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import pivot_condition_failures_reference
 
 import hopfchrom.integrals as integrals_module
 from hopfchrom import (
     FieldSpec,
     GroupTable,
-    HopfAlgebra,
     HopfDataError,
     Matrix,
+    PivotData,
     PivotSearchInconclusive,
     alpha_left_ideal,
     cointegral_space,
     field_make,
-    group_algebra,
     integral_space,
     is_spherical_hmod,
     is_unimodular,
     normalized_pair,
     pivot_candidates,
 )
+from hopfchrom.fields import _poly_mul
 from hopfchrom.hopf import pairing, vec_scale
 from hopfchrom.cli import _make_builtin, _parse_field
 from hopfchrom.integrals import (
+    _char_poly,
     _check_lambda_certificate,
-    _grouplikes_on_plane,
+    _grouplike_space,
     _intertwiner_space,
     _pivot_condition_failures,
     _poly_gcd,
+    _roots,
 )
 
 
@@ -162,8 +167,7 @@ def test_pivot_condition_rejection(z2, h4, t3):
 
 
 def test_pivot_conditions_match_lambda_loop_reference(corpus_data, monkeypatch):
-    # the hook sits on the search's predicate, so it sees every candidate,
-    # also those the eps(v) = 1 and v^2 = a pre-checks turn away
+    # the hook sits on the search's predicate, so it sees every candidate
     tested = []
     library = integrals_module._is_pivot
 
@@ -190,53 +194,175 @@ def test_pivot_conditions_match_lambda_loop_reference(corpus_data, monkeypatch):
     assert unibalanced_only
 
 
-def _counted_pivot_search(H, monkeypatch):
-    normalized_pair(H)  # computed before counting: only the search is counted
-    calls = {"multiply": 0, "apply": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(HopfAlgebra, "multiply", counted("multiply", HopfAlgebra.multiply))
-    monkeypatch.setattr(Matrix, "apply", counted("apply", Matrix.apply))
-    pivots = pivot_candidates(H)
-    monkeypatch.undo()
-    return pivots, calls
+# (builtin, field) -> the pivots in the listed order; the unit first, then
+# basis vectors, then the rest
+PINNED_PIVOTS = {
+    ("group:Z2", "Q"): [["1", "0"], ["0", "1"]],
+    ("group:Z2", "GF:7"): [["1", "0"], ["0", "1"]],
+    ("dualgroup:Z2", "Q"): [["1", "1"], ["1", "-1"]],
+    ("dualgroup:Z2", "GF:7"): [["1", "1"], ["1", "6"]],
+    ("group:S3", "GF:7"): [["1", "0", "0", "0", "0", "0"]],
+    ("group:Z5", "Q"): [["1", "0", "0", "0", "0"]],
+    ("dualgroup:S3", "GF:7"): [["1"] * 6, ["1", "6", "6", "1", "1", "6"]],
+    ("dualgroup:S3", "Q"): [["1"] * 6, ["1", "-1", "-1", "1", "1", "-1"]],
+    ("dualgroup:Z4", "Cyc:4"): [["[1,0]"] * 4, ["[1,0]", "[-1,0]", "[1,0]", "[-1,0]"]],
+}
 
 
-def test_pivot_search_builds_only_the_counit_slice(monkeypatch):
-    # uqsl2:3 over GF(7): dim V = 4, so the search is exhaustive over 7^4
-    # points; only the 7^3 with eps(v) = 1 are built, and only candidates
-    # with eps(v) = 1 and v^2 = a reach the full three-condition check
-    H = _make_builtin("uqsl2:3", _parse_field("GF:7"))
-    assert _intertwiner_space(H).ncols == 4
-    pivots, calls = _counted_pivot_search(H, monkeypatch)
-    assert [p.g for p in pivots] == [H.basis_vector(H.basis_names.index("K"))]
-    assert calls["multiply"] <= 1000, calls
-    assert calls["apply"] <= 400, calls
-    S3 = _make_builtin("group:S3", _parse_field("GF:7"))
-    assert _intertwiner_space(S3).ncols == 3
-    pivots, _ = _counted_pivot_search(S3, monkeypatch)
-    assert [S3.format_vector(p.g) for p in pivots] == [["1", "0", "0", "0", "0", "0"]]
+def _brute_force_pivots(H):
+    """Every pivot of H over GF(p): each point of the slice eps(v) = 1 of the
+    intertwiner space V, checked by the lambda-loop reference."""
+    f, d = H.field, normalized_pair(H)
+    V = _intertwiner_space(H)
+    eps = [H.counit_apply(V.col_list(k)) for k in range(V.ncols)]
+    live = [k for k in range(V.ncols) if eps[k] != f.zero]
+    if not live:
+        return []
+    m = live[-1]
+    found = []
+    for rest in itertools.product(range(f.p), repeat=V.ncols - 1):
+        c = [*rest[:m], f.zero, *rest[m:]]
+        c[m] = f.div(f.sub(f.one, pairing(f, eps, c)), eps[m])
+        v = V.apply(c)
+        if H.is_grouplike(v) and not pivot_condition_failures_reference(H, d, v):
+            found.append(v)
+    return found
 
 
-def test_pivot_search_is_exhaustive_when_the_counit_slice_fits(monkeypatch):
-    # dualgroup:S3 over GF(7): dim V = 6, 7^6 points but a slice of 7^5; the
-    # complete search finds the sign character beside the unit
-    DS3 = _make_builtin("dualgroup:S3", _parse_field("GF:7"))
-    pivots = pivot_candidates(DS3)
-    assert [DS3.format_vector(p.g) for p in pivots] == [
-        ["1"] * 6, ["1", "6", "6", "1", "1", "6"]]
-    # uqsl2:3 over GF(13): 13^4 = 28,561 points exceed the limit of 20,000,
-    # the slice of 13^3 does not; with every candidate rejected the complete
-    # search answers [] instead of raising PivotSearchInconclusive
+def _character_pivots(H, G):
+    """The pivots of k^G = dualgroup:G: its grouplikes are the linear
+    characters of G, each fixed by its values on a generating set (roots of
+    unity of F of order dividing |G|) and checked on the whole Cayley table."""
+    f, c, n = H.field, G.cayley, G.order
+    if f.spec.kind == "prime-field":
+        units = list(range(1, f.p))
+    elif f.spec.kind == "rationals":
+        units = [f.one, f.neg(f.one)]
+    else:
+        units = [f.pow(z, k) for z in (f.zeta, f.neg(f.zeta)) for k in range(f.n)]
+    units = sorted({u for u in units if f.pow(u, n) == f.one})
+    gens, reached = [], {G.identity}
+    for s in range(n):
+        if s not in reached:
+            gens.append(s)
+            reached.add(s)
+            while len(grown := {c[x][y] for x in reached for y in reached} | reached) > len(reached):
+                reached = grown
+    found = []
+    for values in itertools.product(units, repeat=len(gens)):
+        chi, todo = {G.identity: f.one}, [G.identity]
+        while todo:
+            x = todo.pop()
+            for s, u in zip(gens, values):
+                if c[x][s] not in chi:
+                    chi[c[x][s]] = f.mul(chi[x], u)
+                    todo.append(c[x][s])
+        if all(chi[c[x][y]] == f.mul(chi[x], chi[y]) for x in range(n) for y in range(n)):
+            v = [chi[x] for x in range(n)]
+            if not pivot_condition_failures_reference(H, normalized_pair(H), v):
+                found.append(v)
+    return found
+
+
+@pytest.mark.parametrize("name, spec", [
+    *[(name, "GF:7") for name in ("group:Z2", "group:Z3", "group:S3", "dualgroup:Z2",
+                                  "sweedler", "taft:3", "uqsl2:3", "dualgroup:S3")],
+    ("uqsl2:3", "GF:13"),
+    ("dualgroup:Z2", "Q"), ("dualgroup:Z3", "Q"), ("dualgroup:S3", "Q"),
+    ("dualgroup:S4", "Q"), ("dualgroup:S4", "GF:5"), ("dualgroup:Z4", "Cyc:4"),
+    ("group:Z2", "Q"), ("group:Z5", "Q"),
+])
+def test_pivot_candidates_match_an_independent_oracle(name, spec, monkeypatch):
+    # over GF(p) every point of the counit slice of V is tried; for k^G the
+    # linear characters of G are; the pinned lists fix the order too.  The
+    # search tests at most dim V candidates, one per line it peels off
+    H = _make_builtin(name, _parse_field(spec))
+    tested = []
+    library = integrals_module._is_pivot
+    monkeypatch.setattr(integrals_module, "_is_pivot",
+                        lambda H, v: tested.append(v) or library(H, v))
+    got = [p.g for p in pivot_candidates(H)]
+    assert len(tested) <= _intertwiner_space(H).ncols
+    if H.unit_vector() in got:
+        assert got[0] == H.unit_vector()
+    if spec.startswith("GF") and H.field.p ** (_intertwiner_space(H).ncols - 1) <= 20000:
+        assert sorted(got) == sorted(_brute_force_pivots(H))
+    elif name.startswith("dualgroup:"):
+        group = name.split(":")[1]
+        table = (GroupTable.cyclic(int(group[1:])) if group[0] == "Z"
+                 else GroupTable.symmetric(int(group[1:])))
+        assert sorted(got) == sorted(_character_pivots(H, table))
+    else:  # over Q the group algebras are pinned only
+        assert (name, spec) in PINNED_PIVOTS
+    if (name, spec) in PINNED_PIVOTS:
+        assert [H.format_vector(v) for v in got] == PINNED_PIVOTS[name, spec]
+
+
+def test_an_undecided_search_keeps_the_pivots_it_found(monkeypatch):
+    # a complete search that rejects every line answers [], it does not raise
     H = _make_builtin("uqsl2:3", _parse_field("GF:13"))
-    assert _intertwiner_space(H).ncols == 4
     monkeypatch.setattr(integrals_module, "_is_pivot", lambda H, v: False)
     assert pivot_candidates(H) == []
+    monkeypatch.undo()
+    # with no root ever found, V is never split: the search names the field and
+    # the polynomial, and sphericality follows the first pivot found, if any
+    monkeypatch.setattr(integrals_module, "_roots", lambda f, poly: ([], poly))
+    with pytest.raises(PivotSearchInconclusive, match=r"of Q do not split .* \(constant"):
+        pivot_candidates(_make_builtin("dualgroup:Z2", _parse_field("Q")))
+    z2 = _make_builtin("group:Z2", _parse_field("Q"))
+    found = PivotData(g=z2.basis_vector(1))
+
+    def undecided(H):
+        raise PivotSearchInconclusive("undecided", pivots)
+
+    monkeypatch.setattr(integrals_module, "pivot_candidates", undecided)
+    pivots = [found]
+    assert is_spherical_hmod(z2) == (True, found)
+    pivots = []
+    with pytest.raises(PivotSearchInconclusive, match="undecided"):
+        is_spherical_hmod(z2)
+
+
+@pytest.mark.parametrize("placement", ["g x", "x g"])
+def test_symmetrised_cointegral_is_a_symmetric_nondegenerate_form(corpus_data, placement):
+    """For unimodular H with pivot g, t(x) = lambda(g x) is symmetric and
+    non-degenerate (Radford's lambda(x y) = lambda(S^2(y) x) with S^2 = conj(g);
+    Beliakova, Blanchet and Gainutdinov, Selecta Math., 2021).  Both
+    placements of g give the same form, since lambda(x g) = lambda(S^2(g) x)."""
+    def form(H, g):
+        lam = normalized_pair(H).right_integral
+        t = [pairing(H.field, lam, H.multiply(g, e) if placement == "g x" else H.multiply(e, g))
+             for e in map(H.basis_vector, range(H.dim))]
+        gram = Matrix.from_rows(H.field, [[pairing(H.field, [t[k] for k in col], col.values())
+                                           for col in row] for row in H.mult])
+        return gram == gram.transpose(), gram.rank() == H.dim
+
+    inputs = [H for H, _ in corpus_data.values()]
+    inputs += [_make_builtin(name, _parse_field(spec)) for name, spec in (
+        ("uqsl2:3", "GF:7"), ("dualgroup:S3", "GF:7"), ("dualgroup:Z4", "Cyc:4"))]
+    tried = 0
+    for H in inputs:
+        for p in pivot_candidates(H):
+            assert form(H, p.g) == (True, True), (H.name, p.g)
+            tried += 1
+    assert tried == 11
+    # the square K^2 of the pivot of uqsl2:3 is grouplike but no pivot
+    H = inputs[-3]
+    K = pivot_candidates(H)[0].g
+    assert form(H, H.multiply(K, K)) == (False, True)
+
+
+def test_grouplike_space_drops_spaces_where_the_counit_vanishes():
+    # Sweedler's x and gx have eps = 0; over Q(i) a scalar payload is a tuple,
+    # so the test is against the field's zero, not truthiness
+    for spec in ("Q", "Cyc:4"):
+        H = _make_builtin("sweedler", _parse_field(spec))
+        f, eps = H.field, list(H.counit)
+        rows = lambda *vs: Matrix.from_rows(f, [H.basis_vector(i) for i in vs])
+        assert _grouplike_space(rows(2, 3), eps) is None
+        assert _grouplike_space(Matrix.zeros(f, 1, H.dim), eps) is None
+        B, P = _grouplike_space(rows(3, 1), eps)
+        assert B == rows(1, 3) and P == (1, 3)
 
 
 def test_is_spherical(corpus_data):
@@ -341,19 +467,6 @@ def test_cop_dictionary(corpus_data):
         assert vec_scale(f, f.inv(scale), lam_s) == dc.right_integral, name
 
 
-def test_pivot_search_inconclusive_is_distinct():
-    # commutative group algebra of rank 3 over Q with the heuristics disabled
-    # is not reachable through the public API, so exercise the error type via
-    # a cocommutative algebra whose heuristic candidates all fail: none exists
-    # in the corpus, so check instead that the exception type is exported and
-    # that complete searches do not raise.
-    Q = field_make(FieldSpec("rationals"))
-    H = group_algebra(GroupTable.cyclic(5), Q, "group:Z5")
-    cands = pivot_candidates(H)
-    assert cands and cands[0].g == H.unit_vector()
-    assert issubclass(PivotSearchInconclusive, RuntimeError)
-
-
 def test_dual_group_algebra_integrals(dz2, Q):
     d = normalized_pair(dz2)
     # cointegral of functions on Z/2 is the delta at the identity
@@ -385,25 +498,6 @@ def test_alpha_matches_inverse_of_dual_distinguished_grouplike(corpus_data):
             assert conv == H.counit[k], name
 
 
-def test_plane_search_pivots_over_q_and_gf7():
-    # dim V = 2 on both algebras, so the search runs through the counit-line
-    # elimination and the polynomial gcd
-    want = {
-        ("group:Z2", "Q"): ([[0, 1], [1, 0]], [["1", "0"], ["0", "1"]]),
-        ("group:Z2", "GF:7"): ([[0, 1], [1, 0]], [["1", "0"], ["0", "1"]]),
-        ("dualgroup:Z2", "Q"): ([[1, -1], [1, 1]], [["1", "1"], ["1", "-1"]]),
-        ("dualgroup:Z2", "GF:7"): ([[1, 1], [1, 6]], [["1", "1"], ["1", "6"]]),
-    }
-    for (name, spec), (plane, pivots) in want.items():
-        H = _make_builtin(name, _parse_field(spec))
-        V = _intertwiner_space(H)
-        assert V.ncols == 2, (name, spec)
-        vecs, complete = _grouplikes_on_plane(H, V.col_list(0), V.col_list(1))
-        assert complete and vecs == [H.element(v) for v in plane], (name, spec)
-        got = [H.format_vector(p.g) for p in pivot_candidates(H)]
-        assert got == pivots, (name, spec)
-
-
 def test_poly_gcd_is_monic_and_trimmed(Q, F7):
     # (s - 1)(s - 2) and (s - 1)(s + 3): gcd s - 1, whatever the scaling
     for f in (Q, F7):
@@ -412,6 +506,46 @@ def test_poly_gcd_is_monic_and_trimmed(Q, F7):
         assert _poly_gcd(f, a, b) == [f.coerce(-1), f.one]
         assert _poly_gcd(f, a, [f.zero]) == [f.coerce(2), f.coerce(-3), f.one]
         assert _poly_gcd(f, [f.coerce(5)], a) == [f.one]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 7, 13]), st.integers(1, 5), st.data())
+def test_char_poly_and_roots_over_gf_p_match_brute_force(p, n, data):
+    # the roots are exactly the l with l I - A singular, and the
+    # characteristic polynomial is monic of degree n with p(A) = 0
+    f = field_make(FieldSpec("prime-field", p=p))
+    A = Matrix.from_rows(f, data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n,
+                                                         max_size=n), min_size=n, max_size=n)))
+    poly = _char_poly(f, A)
+    assert len(poly) == n + 1 and poly[-1] == f.one
+    pA = Matrix.combination(f, n, n, [(c, A_k) for c, A_k in zip(
+        poly, itertools.accumulate([Matrix.identity(f, n)] * (n + 1), lambda P, _: P @ A))])
+    assert pA == Matrix.zeros(f, n, n)
+    singular = [x for x in range(p)
+                if (Matrix.identity(f, n).scale(x) - A).rank() < n]
+    assert _roots(f, poly) == (singular, None)
+
+
+def test_roots_over_q_and_cyclotomic_fields(Q, C4):
+    # over Q: (x - 1/2)(x + 3)(x^2 + 1) x^2, x^2 - 2, (x - 10^12)(x + 10^12 + 1),
+    # and x (x -+ 10^12), whose nonzero root sits at the Cauchy bound
+    assert _roots(Q, [Fraction(v, 2) for v in (0, 0, -3, 5, -1, 5, 2)]) == \
+        ([Fraction(-3), Fraction(0), Fraction(1, 2)], None)
+    big = 10 ** 12
+    assert _roots(Q, [Q.coerce(-big * (big + 1)), Q.one, Q.one]) == ([-big - 1, big], None)
+    for r in (big, -big):
+        assert _roots(Q, [Q.zero, Q.coerce(-r), Q.one]) == (sorted([0, r]), None)
+    assert _roots(Q, [Q.coerce(v) for v in (-2, 0, 1)]) == ([], None)
+    # over Q(i): (x - i)^2 (x + 1/2) is split by i, -1/2; (x^2 - 2)(x - 3) leaves
+    # x^2 - 2, whose roots the search does not know are not in Q(i)
+    i = C4.zeta
+    x_i = [C4.neg(i), C4.one]
+    poly = _poly_mul(C4, _poly_mul(C4, x_i, x_i), [C4.coerce(Fraction(1, 2)), C4.one])
+    assert _roots(C4, poly) == (sorted([i, C4.coerce(Fraction(-1, 2))]), None)
+    poly = _poly_mul(C4, [C4.coerce(-2), C4.zero, C4.one], [C4.coerce(-3), C4.one])
+    assert _roots(C4, poly) == ([C4.coerce(3)], [C4.coerce(-2), C4.zero, C4.one])
+    # a linear factor left over has its root in the field
+    assert _roots(C4, [C4.add(C4.one, i), C4.one]) == ([C4.neg(C4.add(C4.one, i))], None)
 
 
 def _radford_s4_rhs(H, d, h, invert_a=False, swap_hooks=False):
