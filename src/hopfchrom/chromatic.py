@@ -312,6 +312,11 @@ def verify_chromatic_identity(c: ChromaticMap, X: HModule) -> ChromaticReport:
     those columns decide the identity.  Every other row, and a reduced check
     that finds a mismatch, is decided on all dim(X ox P) columns, which also
     locate the first mismatch; ``columns`` reports how many were evaluated.
+
+    Naturality: the composite E_X is natural in X and additive, so if
+    E_H = id then E_X = id for every X.  X is a quotient pi: H^m -> X of a free
+    module, and E_X (pi ox id_P) = (pi ox id_P) E_{H^m} = pi ox id_P with
+    pi ox id_P onto.  The X = triv and alpha rows confirm it independently.
     """
     t0 = time.perf_counter()
     H, side = c.H, c.side
@@ -341,11 +346,9 @@ def verify_chromatic_identity(c: ChromaticMap, X: HModule) -> ChromaticReport:
         ev_g, _ = evaluation_morphisms(G, "left")
         Gl = ev_g.source[0]
         _, coevt_piv = pivotal_evaluation_morphisms(G, c.pivot.g)
-        # alpha is trivial on a unimodular H: Lambda^l as an endomorphism
-        lam = lambda_transform(H, (X, Gl), "left").matrix
         expr = compose(
             tensor(identity((X,)), Prim(ev_g), identity((P,))),
-            tensor(Prim(Morphism((X, Gl), (X, Gl), lam)), Prim(c)),
+            tensor(Prim(lambda_transform(H, (X, Gl), "spherical")), Prim(c)),
             tensor(identity((X,)), Prim(coevt_piv), identity((P,))),
         )
 

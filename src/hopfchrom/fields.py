@@ -277,6 +277,20 @@ class CyclotomicField(Field):
     ``gcd(den, c_0, ..., c_{d-1}) = 1``.  Phi_n is monic, so reducing an
     integer polynomial by it keeps integer coefficients, and each result
     needs one content gcd.
+
+    ``mul`` and ``inv`` skip work an operand does not need; a payload is
+    unique, so a short cut gives the same tuple as the general path:
+
+      * ``mul`` with a rational operand c/den (c_1 = ... = c_{d-1} = 0):
+        0 gives ``zero`` and 1 the other operand, both canonical as they
+        stand; any other c/den scales the other operand's numerators, d
+        integer products of degree < d, so no convolution and no reduction
+        by Phi_n, and one content gcd makes the result canonical;
+      * ``inv`` of a rational c/den is den/c, with the sign moved to the
+        numerator; gcd(c, den) = 1 already, so it is canonical;
+      * ``inv`` of a monomial c zeta^k / den is (den/c) zeta^(n-k), as
+        zeta^n = 1, through one ``_reduce``, which makes it canonical;
+      * only a general element goes through the extended Euclid over Q.
     """
 
     def __init__(self, n: int):
@@ -340,21 +354,51 @@ class CyclotomicField(Field):
 
     def mul(self, a, b):
         d = self.degree
-        out = [0] * (2 * d - 1)
-        for i in range(d):
-            x = a[i]
-            if x:
-                for j in range(d):
-                    y = b[j]
-                    if y:
-                        out[i + j] += x * y
-        return self._reduce(out, a[d] * b[d])
+        if any(a[1:d]):
+            if any(b[1:d]):
+                out = [0] * (2 * d - 1)
+                for i in range(d):
+                    x = a[i]
+                    if x:
+                        for j in range(d):
+                            y = b[j]
+                            if y:
+                                out[i + j] += x * y
+                return self._reduce(out, a[d] * b[d])
+            a, b = b, a
+        # a is the rational c / den (see the class docstring)
+        c = a[0]
+        if not c:
+            return self.zero
+        den = a[d]
+        if c == den:
+            return b
+        nums = [c * x for x in b[:d]]
+        den *= b[d]
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+        nums.append(den)
+        return tuple(nums)
 
     def inv(self, a):
-        if a == self.zero:
+        d = self.degree
+        terms = [(k, c) for k, c in enumerate(a[:d]) if c]
+        if not terms:
             raise ZeroDivisionError("inversion of zero")
+        den = a[d]
+        if len(terms) == 1:
+            # c zeta^k / den -> (den / c) zeta^(n - k), the sign on the numerator
+            k, c = terms[0]
+            if c < 0:
+                c, den = -c, -den
+            if k == 0:
+                return (den,) + a[1:d] + (c,)
+            nums = [0] * (self.n - k + 1)
+            nums[-1] = den
+            return self._reduce(nums, c)
         # extended Euclid in Q[x] against the (irreducible) modulus
-        den = a[-1]
         r0 = [Fraction(c) for c in self._modulus]
         r1 = [Fraction(c, den) for c in a[:-1]]
         s0, s1 = [Fraction(0)], [Fraction(1)]

@@ -14,7 +14,8 @@ Left duals act by ``transpose(rho(S(h)))``, right duals by
 
 The regular, trivial and alpha modules are built once per algebra and kept on
 it, and each module keeps its duals, built once per side, so every caller
-shares them: ld(H), ld(ld(H)), rd(H) and rd(rd(H)) live as long as H.
+shares them: ld(H), ld(ld(H)), rd(H) and rd(rd(H)) live as long as H.  So do
+the Lambda-transformations, built once per (word, side).
 
 Verification policy (here and in ``chromatic``): a morphism built here from
 H's verified data is H-linear by an identity of H checked once per algebra:
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hopf import HopfAlgebra
-from .integrals import normalized_pair
+from .integrals import is_unimodular, normalized_pair
 from .linalg import Matrix, stacked_nullspace
 
 __all__ = [
@@ -361,18 +362,31 @@ def hom_basis(M: HModule, N: HModule) -> list[Matrix]:
 
 
 def lambda_transform(H: HopfAlgebra, word, side: str) -> Morphism:
-    """The natural transformation component at a tensor word.
+    """The natural transformation component at a tensor word, built once per
+    (word, side) and kept on H, so every call for it returns the same morphism.
 
-    left : word ox alpha -> word, acting by S^{-1}(Lambda);
-    right: alpha ox word -> word, acting by S(Lambda).
+    left     : word ox alpha -> word, acting by S^{-1}(Lambda);
+    right    : alpha ox word -> word, acting by S(Lambda);
+    spherical: word -> word, the left one's matrix, for a unimodular H (alpha
+               is then trivial), as the spherical identity uses it.
     """
     word = _as_word(word)
-    alpha = alpha_module(H)
-    Lam = normalized_pair(H).left_cointegral
-    if side == "left":
-        mat = word_element_action(H, word, H.antipode_inverse_apply(Lam))
-        return Morphism(word + (alpha,), word, mat)
-    if side == "right":
-        mat = word_element_action(H, word, H.antipode_apply(Lam))
-        return Morphism((alpha,) + word, word, mat)
-    raise ValueError(f"side must be left or right, got {side!r}")
+    mor = H._lambda_transforms.get((word, side))
+    if mor is None:
+        alpha = alpha_module(H)
+        Lam = normalized_pair(H).left_cointegral
+        if side == "left":
+            mat = word_element_action(H, word, H.antipode_inverse_apply(Lam))
+            mor = Morphism(word + (alpha,), word, mat)
+        elif side == "right":
+            mat = word_element_action(H, word, H.antipode_apply(Lam))
+            mor = Morphism((alpha,) + word, word, mat)
+        elif side == "spherical":
+            if not is_unimodular(H):
+                raise ValueError(f"{H.name} is not unimodular: Lambda^l maps "
+                                 "word ox alpha, not word, to word")
+            mor = Morphism(word, word, lambda_transform(H, word, "left").matrix)
+        else:
+            raise ValueError(f"side must be left, right or spherical, got {side!r}")
+        H._lambda_transforms[word, side] = mor
+    return mor

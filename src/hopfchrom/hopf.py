@@ -92,6 +92,7 @@ class HopfAlgebra:
         self._antipode_sq = None
         self._integral_data = None  # integrals.normalized_pair's verified result
         self._modules = {}  # hmod's regular, trivial and alpha modules, built once
+        self._lambda_transforms = {}  # hmod.lambda_transform's, per (word, side)
         self._generators = generators  # _algebra_generators, from hopf_make
         self._left_mult = [None] * dim
         self._right_mult = [None] * dim

@@ -357,8 +357,12 @@ def _pivot_condition_failures(H: HopfAlgebra, v: list) -> list[str]:
 
 
 def _is_pivot(H: HopfAlgebra, v: list) -> bool:
-    """Whether ``v`` is a pivot: the search's one test of a candidate."""
-    return not _pivot_condition_failures(H, v)
+    """Whether a line ``v`` of the intertwiner space V is a pivot: the search's
+    one test of a candidate.  v lies in V = {v : S^2(h) v = v h}, and a
+    grouplike v has v S(v) = eps(v) 1 = 1, so of the three pivot conditions
+    only "grouplike" and g^2 = a are left to test."""
+    return (H.is_grouplike(v)
+            and H.multiply(v, v) == normalized_pair(H).distinguished_grouplike)
 
 
 def _intertwiner_space(H: HopfAlgebra) -> Matrix:

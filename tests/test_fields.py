@@ -215,9 +215,14 @@ def test_cyclotomic_scalars_match_fraction_reference(n, data):
     phi = PHI[n]
     d = len(phi) - 1
     assert F.degree == d
-    # unreduced coefficient lists, up to degree 2d - 2, some entries zero
+    # unreduced coefficient lists, up to degree 2d - 2, some entries zero; or
+    # the operands mul and inv take short cuts on: 0, +-1, a rational, c zeta^k
     coeffs = st.lists(st.one_of(st.just(Fraction(0)), rationals), max_size=2 * d - 1)
-    ra, rb = data.draw(coeffs), data.draw(coeffs)
+    monomials = st.builds(lambda k, c: [Fraction(0)] * k + [c],
+                          st.integers(min_value=0, max_value=d - 1), rationals)
+    operands = st.one_of(coeffs, st.sampled_from([[], [1], [-1]]),
+                         rationals.map(lambda c: [c]), monomials)
+    ra, rb = data.draw(operands), data.draw(operands)
     a, b = F.coerce(ra), F.coerce(rb)
     A, B = _ref_reduce(ra, phi), _ref_reduce(rb, phi)
     zero, one = [Fraction(0)] * d, _ref_reduce([1], phi)
@@ -227,6 +232,7 @@ def test_cyclotomic_scalars_match_fraction_reference(n, data):
         "add": (F.add(a, b), [x + y for x, y in zip(A, B)]),
         "neg": (F.neg(a), [-x for x in A]),
         "mul": (F.mul(a, b), _ref_mul(A, B, phi)),
+        "mul swapped": (F.mul(b, a), _ref_mul(A, B, phi)),
         "cancel": (F.add(a, F.neg(a)), zero),
         "parse": (F.parse(_ref_format(A)), A),
     }
@@ -235,10 +241,14 @@ def test_cyclotomic_scalars_match_fraction_reference(n, data):
         assert _as_fractions(got) == want, name
     assert F.format(a) == _ref_format(A)
     assert F.parse(F.format(F.mul(a, b))) == F.mul(a, b)
-    if A != zero:
-        inv = F.inv(a)
-        _assert_canonical(F, inv)
-        assert _ref_mul(A, _as_fractions(inv), phi) == one
+    for x, X in ((a, A), (b, B)):
+        if X != zero:
+            inv = F.inv(x)
+            _assert_canonical(F, inv)
+            assert _ref_mul(X, _as_fractions(inv), phi) == one
+        else:
+            with pytest.raises(ZeroDivisionError):
+                F.inv(x)
     for x in (F.zero, F.one, F.zeta):
         _assert_canonical(F, x)
 
@@ -290,3 +300,27 @@ def test_cyclotomic_polynomial_built_once_per_conductor(monkeypatch):
     calls.clear()
     fields.CyclotomicField(360)
     assert calls == []
+
+
+@pytest.mark.parametrize("n", sorted(PHI))
+def test_rational_and_monomial_inverses_skip_the_euclid(n, monkeypatch):
+    F = field_make(FieldSpec("cyclotomic", n=n))
+    phi = PHI[n]
+    d = len(phi) - 1
+    one = _ref_reduce([1], phi)
+    general = F.add(F.one, F.zeta) if d > 1 else None
+
+    def no_euclid(*args):
+        raise AssertionError("extended Euclid called")
+
+    monkeypatch.setattr(fields, "_poly_divmod", no_euclid)
+    for c in (Fraction(1), Fraction(-1), Fraction(3, 4), Fraction(-6, 5)):
+        for k in range(d):
+            coeffs = [Fraction(0)] * k + [c]
+            x = F.coerce(coeffs)
+            inv = F.inv(x)
+            _assert_canonical(F, inv)
+            assert _ref_mul(_ref_reduce(coeffs, phi), _as_fractions(inv), phi) == one
+    if general is not None:
+        with pytest.raises(AssertionError, match="Euclid"):
+            F.inv(general)

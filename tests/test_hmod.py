@@ -14,6 +14,7 @@ from hopfchrom import (
     is_spherical_hmod,
     lambda_transform,
     module_make,
+    normalized_pair,
     pivot_candidates,
     pivotal_evaluation_morphisms,
     regular_module,
@@ -22,6 +23,7 @@ from hopfchrom import (
     word_action,
     word_element_action,
 )
+from hopfchrom import hmod as hmod_module
 from hopfchrom.calculus import Prim, compose, evaluate, identity, tensor
 from hopfchrom.cli import _make_builtin, _parse_field, main
 
@@ -147,6 +149,40 @@ def test_lambda_transform_is_h_linear(corpus_data):
                      (dual_module(reg, "right"), reg)):
             for side in ("left", "right"):
                 assert is_h_linear(lambda_transform(H, word, side)), (name, side, word)
+
+
+def test_lambda_transform_kept_per_word_and_side(z2, t3):
+    reg = regular_module(z2)
+    word = (reg, dual_module(reg, "left"))
+    left = lambda_transform(z2, word, "left")
+    assert lambda_transform(z2, word, "left") is left
+    assert lambda_transform(z2, list(word), "right") is lambda_transform(z2, word, "right")
+    # the spherical rows read the left matrix as an endomorphism of the word
+    sph = lambda_transform(z2, word, "spherical")
+    assert sph.source == sph.target == word and sph.matrix is left.matrix
+    with pytest.raises(ValueError, match="not unimodular"):
+        lambda_transform(t3, (regular_module(t3),), "spherical")
+    with pytest.raises(ValueError, match="side must be"):
+        lambda_transform(z2, word, "up")
+
+
+@pytest.mark.parametrize("builtin,field", [("taft:5", "GF:11"), ("uqsl2:3", "GF:7")])
+def test_check_builds_each_lambda_transform_once(builtin, field, monkeypatch):
+    # six components, (X ox ld(H), left) and (rd(H) ox X, right) for X = triv,
+    # H, alpha, serve the P = H and P = split(H) rows and, on the unimodular
+    # uqsl2:3, the spherical ones
+    builds = []
+    real = hmod_module.word_element_action
+
+    def recording(H, word, a):
+        lam = normalized_pair(H).left_cointegral
+        if a in (H.antipode_apply(lam), H.antipode_inverse_apply(lam)):
+            builds.append(tuple(m.label for m in word))
+        return real(H, word, a)
+
+    monkeypatch.setattr(hmod_module, "word_element_action", recording)
+    assert main(["check", "--builtin", builtin, "--field", field, "--json"]) == 0
+    assert len(builds) == len(set(builds)) == 6
 
 
 def test_pivotal_coevaluation_of_uqsl2_is_h_linear():

@@ -166,6 +166,21 @@ def test_pivot_condition_rejection(z2, h4, t3):
     assert "conjugation" in _pivot_condition_failures(t3, t3.basis_vector(3))
 
 
+def test_search_predicate_still_tests_grouplike():
+    # on k[Z3] over Q(zeta_3), v = 1 - 2 e_1, e_1 = (1/3) sum_k zeta^-k g^k a
+    # primitive idempotent, lies in V (H commutative, S^2 = id) and has
+    # eps(v) = 1 and v^2 = 1 = a, but it is not grouplike
+    H = _make_builtin("group:Z3", _parse_field("Cyc:3"))
+    f = H.field
+    third = f.coerce(Fraction(1, 3))
+    e1 = [f.mul(third, f.pow(f.zeta, -k)) for k in range(3)]
+    v = [f.sub(u, f.add(x, x)) for u, x in zip(H.unit_vector(), e1)]
+    assert H.multiply(v, v) == normalized_pair(H).distinguished_grouplike
+    assert H.counit_apply(v) == f.one
+    assert not integrals_module._is_pivot(H, v)
+    assert "grouplike" in _pivot_condition_failures(H, v)
+
+
 def test_pivot_conditions_match_lambda_loop_reference(corpus_data, monkeypatch):
     # the hook sits on the search's predicate, so it sees every candidate
     tested = []
