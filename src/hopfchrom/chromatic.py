@@ -13,15 +13,16 @@ g_i: H -> P} with sum g_i f_i = id_P, produced by splitting idempotents.
 ``verify_chromatic_identity(c, X)`` takes H, side, pivot and P from c, evaluates
 the defining composite with the morphism calculus and compares it with the
 identity, entry by entry: at X = H on the dim P columns that generate X ox P
-as an H-module, once c is checked H-linear (every other factor is a structure
-morphism, H-linear by the rule in ``hmod``), and otherwise on every column of
-its source word.
+as an H-module when ``c.h_linear`` holds (a ``ChromaticMap`` decides its
+H-linearity once, on first use; every other factor is a structure morphism,
+H-linear by the rule in ``hmod``), and otherwise on every column.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 from .calculus import Prim, compose, evaluate, evaluate_rows, identity, tensor
 from .hmod import (
@@ -86,6 +87,11 @@ class ChromaticMap(Morphism):
         if self.pivot is not None and (fails := _pivot_condition_failures(self.H, self.pivot.g)):
             raise NotSphericalError(f"not a pivot of {self.H.name}: fails {', '.join(fails)}")
 
+    @cached_property
+    def h_linear(self) -> bool:
+        """``is_h_linear(self)``, decided on first use and kept with the map."""
+        return is_h_linear(self)
+
 
 def _lambda_pair_table(H: HopfAlgebra, lam: list, R: Matrix | None = None) -> Matrix:
     """Table ``t[i][x] = lambda(S(e_i) r_x)``, with ``r_x`` the column ``x`` of
@@ -118,7 +124,7 @@ def _sweedler_map(H: HopfAlgebra, legs: list, table: list[list], right: bool) ->
 
 
 def _checked(c: ChromaticMap) -> ChromaticMap:
-    if not is_h_linear(c):
+    if not c.h_linear:
         raise ModuleAxiomError(f"{c.side} chromatic map failed the intertwiner check")
     return c
 
@@ -244,9 +250,9 @@ def chromatic_retract(c: ChromaticMap, fam: RetractFamily) -> ChromaticMap:
     """Extend a chromatic map based at H to one based at P along a retract,
     keeping c's side and pivot.
 
-    No intertwiner check runs here: a sum of composites of H-linear maps is
-    H-linear, and c was checked by its constructor, the family by
-    ``RetractFamily.make``.
+    No intertwiner check runs here (a sum of composites of H-linear maps is
+    H-linear); the retract decides its own ``h_linear`` once, on first use, as
+    an independent check.
     """
     P = fam.P
     if c.side == "right":  # P is the first leg
@@ -305,13 +311,13 @@ def verify_chromatic_identity(c: ChromaticMap, X: HModule) -> ChromaticReport:
     applied factor by factor, so no ``id ox f ox id`` over the four-leg word
     is formed as a Kronecker product.
 
-    At X = H, when c passes ``is_h_linear``, the composite is H-linear (its
-    other factors are structure morphisms; see the ``hmod`` verification
-    policy) and X ox P is free on the dim P columns 1 ox p (p ox 1 on the
-    right; Montgomery, *Hopf Algebras and Their Actions on Rings*, 1993), so
-    those columns decide the identity.  Every other row, and a reduced check
-    that finds a mismatch, is decided on all dim(X ox P) columns, which also
-    locate the first mismatch; ``columns`` reports how many were evaluated.
+    At X = H, when ``c.h_linear`` holds (a ``ChromaticMap`` decides its
+    H-linearity once, on first use), the composite is H-linear (its other
+    factors are structure morphisms; see the ``hmod`` policy) and X ox P is
+    free on the dim P columns 1 ox p (p ox 1 on the right; Montgomery, *Hopf
+    Algebras and Their Actions on Rings*, 1993), so those columns decide the
+    identity.  Every other row, and a reduced check that finds a mismatch, is
+    decided on all dim(X ox P) columns, which locate the first mismatch.
 
     Naturality: the composite E_X is natural in X and additive, so if
     E_H = id then E_X = id for every X.  X is a quotient pi: H^m -> X of a free
@@ -354,7 +360,7 @@ def verify_chromatic_identity(c: ChromaticMap, X: HModule) -> ChromaticReport:
 
     f, n = H.field, X.dim * P.dim
     rows = None
-    if X.same_as(G) and is_h_linear(c):
+    if X.same_as(G) and c.h_linear:
         # the free generators 1 ox p of X ox P, or p ox 1 of P ox X on the right
         sx, sp = (1, X.dim) if side == "right" else (P.dim, 1)
         rows = Matrix.from_entries(f, P.dim, n, {(p, i * sx + p * sp): u for p in range(P.dim)

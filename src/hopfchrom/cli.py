@@ -40,7 +40,6 @@ from .hmod import (
     ModuleAxiomError,
     Morphism,
     MorphismTypeError,
-    is_h_linear,
     words_match,
 )
 from .hopf import MAX_DIM, HopfAxiomError, HopfDataError
@@ -298,7 +297,7 @@ def cmd_check(args) -> int:
             base = replace(base, matrix=bumped)
             # a chromatic map is an H-mod morphism; a fault may break that
             # even when every grid identity still holds
-            if not is_h_linear(base):
+            if not base.h_linear:
                 fault_notes.append(
                     f"injected fault at ({r},{c}) breaks H-linearity of the "
                     f"{side} map")

@@ -294,7 +294,7 @@ class CyclotomicField(Field):
     """
 
     def __init__(self, n: int):
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise FieldError(f"conductor {n!r} must be a positive integer")
         if n > MAX_CONDUCTOR:
             raise FieldError(f"conductor {n} is above the bound of {MAX_CONDUCTOR}")

@@ -94,7 +94,7 @@ def _parse_triplets(field: Field, data, dim: int, arity: int, where: str):
             )
         idx = item[:arity]
         for v in idx:
-            if not isinstance(v, int) or not (0 <= v < dim):
+            if isinstance(v, bool) or not isinstance(v, int) or not (0 <= v < dim):
                 raise FileFormatError(f"{label}: index {v!r} out of range 0..{dim - 1}")
         out.append((*idx, _parse_scalar(field, item[arity], label)))
     return out
@@ -109,7 +109,7 @@ def algebra_from_dict(data: dict) -> HopfAlgebra:
             raise FileFormatError(f"missing required key {key!r}")
     field = _field_from_dict(data["field"])
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise FileFormatError(f"dim: expected a positive integer, got {dim!r}")
     if dim > MAX_DIM:
         raise FileFormatError(f"dim: {dim} is above the bound of {MAX_DIM}")
@@ -153,7 +153,7 @@ def module_from_dict(data: dict, H: HopfAlgebra | None = None):
         if key not in data:
             raise FileFormatError(f"module: missing required key {key!r}")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
         raise FileFormatError(f"module dim: expected a count, got {dim!r}")
     if dim > MAX_DIM ** 2:  # dim H ox H at the largest H
         raise FileFormatError(f"module dim: {dim} is above the bound of {MAX_DIM ** 2}")
@@ -167,7 +167,7 @@ def module_from_dict(data: dict, H: HopfAlgebra | None = None):
             raise FileFormatError(f"{label}: expected [h, row, col, scalar]")
         h, r, c = item[:3]
         for v, bound in ((h, H.dim), (r, dim), (c, dim)):
-            if not isinstance(v, int) or not (0 <= v < bound):
+            if isinstance(v, bool) or not isinstance(v, int) or not (0 <= v < bound):
                 raise FileFormatError(f"{label}: index {v!r} out of range 0..{bound - 1}")
         val = _parse_scalar(field, item[3], label)
         terms[h].append(((r, c), val))

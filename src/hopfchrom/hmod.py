@@ -23,11 +23,11 @@ ev and coev by the antipode axiom (``hopf_make``), the pivot-twisted coev~ by
 the pivot conditions (a ``ChromaticMap`` rejects a pivot that fails them), the
 Lambda-transformations by the certificate of ``normalized_pair``.  So these are
 built unchecked, and ``is_h_linear`` runs only on maps made from data:
-``module_make`` checks the action axioms, and the chromatic constructors,
-``split_idempotent``, ``RetractFamily.make`` and, before an X = H row is decided
-on generator columns, ``verify_chromatic_identity`` H-linearity.
-``chromatic_retract`` builds from checked parts, and no function has a switch
-that turns a check off.
+``module_make`` checks the action axioms, ``split_idempotent`` and
+``RetractFamily.make`` H-linearity, and a ``ChromaticMap`` decides its own
+H-linearity once, on first use (``h_linear``: in a chromatic constructor, or
+at a retract's first X = H row).  ``chromatic_retract`` builds from checked
+parts, and no function has a switch that turns a check off.
 """
 
 from __future__ import annotations

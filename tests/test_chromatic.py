@@ -412,46 +412,38 @@ def test_chromatic_api_takes_only_the_map():
 
 
 @pytest.mark.parametrize("argv, checks", [
-    (["--builtin", "taft:5", "--field", "GF:11"], 5),
+    # two constructors, the idempotent, the family's two maps and two retracts
+    (["--builtin", "taft:5", "--field", "GF:11"], 7),
+    # no X = H row, so the retracts never decide theirs
     (["--builtin", "taft:4", "--field", "Cyc:8", "--modules", "trivial,alpha"], 5),
     # the grid's X modules run no intertwiner check, so one X gives the same count
     (["--builtin", "uqsl2:3", "--field", "GF:7", "--modules", "trivial"], 6),
-    # the faulted base maps are checked once each in check itself
-    (["--builtin", "sweedler", "--inject-fault", "0,15"], 7),
+    # each faulted base map decides its own, once, in check's fault note
+    (["--builtin", "sweedler", "--inject-fault", "0,15"], 9),
+    # k[Z1] is the ground field, so its faulted 1 x 1 maps stay H-linear
+    (["--builtin", "group:Z1", "--inject-fault", "0,0"], 6),
 ])
 def test_check_runs_each_intertwiner_check_once(argv, checks, capsys, monkeypatch):
-    """The constructors and the retract family check H-linearity; a retract,
-    built from those checked parts, runs no check of its own.  The check
-    that ``verify_chromatic_identity`` runs on the chromatic map of an X = H
-    row, to decide it on generator columns, is not counted."""
+    """Each ``ChromaticMap`` decides its H-linearity once, on first use: a
+    constructor's map in the constructor, a faulted map in ``check``'s fault
+    note, a retract at its first X = H row.  The idempotent and the retract
+    family are checked once each, and no other map is."""
     import sys
 
-    import hopfchrom.cli as cli_module
     import hopfchrom.hmod as hmod_module
 
     calls = []
-    inside = []
     orig = hmod_module.is_h_linear
-    verify = cli_module.verify_chromatic_identity
 
     def counted(mor):
-        if not inside:
-            calls.append(mor)
+        calls.append(mor)
         return orig(mor)
-
-    def verified(c, X):
-        inside.append(True)
-        try:
-            return verify(c, X)
-        finally:
-            inside.pop()
 
     for modname, mod in list(sys.modules.items()):
         if modname.startswith("hopfchrom") and mod is not None:
             for key, value in list(vars(mod).items()):
                 if value is orig:
                     monkeypatch.setattr(mod, key, counted)
-    monkeypatch.setattr(cli_module, "verify_chromatic_identity", verified)
     main(["check", *argv])
     capsys.readouterr()
     assert len(calls) == checks
@@ -515,24 +507,26 @@ def test_generator_columns_decide_each_regular_row_as_all_columns_do(
 
 
 def test_regular_rows_check_only_their_chromatic_map(t3, z2, monkeypatch):
-    """An X = H row checks its chromatic map, and no other factor of its
-    composite, before it is decided on generator columns: the other factors
-    are structure morphisms, H-linear by identities checked once per algebra.
-    A row at any other X checks nothing."""
-    maps = [chromatic_left_hopf(t3), chromatic_right_hopf(t3),
-            chromatic_retract(chromatic_left_hopf(t3),
-                              split_idempotent(right_mult_idempotent(t3))),
-            chromatic_spherical(z2, pivot_candidates(z2)[1])]
+    """An X = H row reads its chromatic map's ``h_linear`` and checks no other
+    factor of its composite: those are structure morphisms, H-linear by
+    identities checked once per algebra.  A constructor's map was decided in
+    the constructor, so verifying it checks nothing; a retract decides its own
+    at its first X = H row, and not again.  A row at any other X checks
+    nothing."""
+    built = [chromatic_left_hopf(t3), chromatic_right_hopf(t3),
+             chromatic_spherical(z2, pivot_candidates(z2)[1])]
+    retract = chromatic_retract(built[0], split_idempotent(right_mult_idempotent(t3)))
     checked = []
     orig = chromatic_mod.is_h_linear
     monkeypatch.setattr(chromatic_mod, "is_h_linear",
                         lambda mor: checked.append(mor) or orig(mor))
-    for c in maps:
-        for X in (trivial_module(c.H), regular_module(c.H)):
+    for c in built + [retract]:
+        per_row = []
+        for X in (trivial_module(c.H), regular_module(c.H), regular_module(c.H)):
             checked.clear()
-            rep = verify_chromatic_identity(c, X)
-            assert rep.equal
-            assert checked == ([c] if X is regular_module(c.H) else [])
+            assert verify_chromatic_identity(c, X).equal
+            per_row.append([m is c for m in checked])
+        assert per_row == ([[], [True], []] if c is retract else [[], [], []])
 
 
 def test_bumped_map_fails_h_linearity_and_is_decided_on_every_column(t3, monkeypatch):
@@ -542,6 +536,7 @@ def test_bumped_map_fails_h_linearity_and_is_decided_on_every_column(t3, monkeyp
     bumped = replace(c, matrix=c.matrix + Matrix.from_entries(
         t3.field, 81, 81, {(0, 40): t3.field.one}))
     assert not is_h_linear(bumped)
+    assert c.h_linear and not bumped.h_linear
     reduced = []
     monkeypatch.setattr(chromatic_mod, "evaluate_rows",
                         lambda expr, vectors: reduced.append(expr))
@@ -549,6 +544,41 @@ def test_bumped_map_fails_h_linearity_and_is_decided_on_every_column(t3, monkeyp
     assert reduced == []
     assert rep.columns == rep.identity_dim == 81
     assert not rep.equal and rep.mismatch is not None
+
+
+def test_h_linear_map_with_a_wrong_composite_falls_back_to_every_column(t3, monkeypatch):
+    """2c is H-linear, but its composite is 2 id.  Its kept ``h_linear`` sends
+    the X = H row to the generator columns, which find the mismatch, and the
+    fallback to every column reports the mismatch of the full composite."""
+    f, G = t3.field, regular_module(t3)
+    c = chromatic_left_hopf(t3)
+    c2 = replace(c, matrix=c.matrix.scale(2))
+    checked, tried, full = [], [], []
+    orig = chromatic_mod.is_h_linear
+    monkeypatch.setattr(chromatic_mod, "is_h_linear",
+                        lambda mor: checked.append(mor) or orig(mor))
+    assert c2.h_linear and len(checked) == 1
+    evaluate, evaluate_rows = chromatic_mod.evaluate, chromatic_mod.evaluate_rows
+
+    def rows_tried(expr, vectors):
+        got = evaluate_rows(expr, vectors)
+        tried.append((vectors.nrows, got == vectors))
+        return got
+
+    def evaluated(expr):
+        full.append(expr)
+        return evaluate(expr)
+
+    monkeypatch.setattr(chromatic_mod, "evaluate_rows", rows_tried)
+    monkeypatch.setattr(chromatic_mod, "evaluate", evaluated)
+    rep = verify_chromatic_identity(c2, G)
+    assert len(checked) == 1
+    assert tried == [(9, False)] and len(full) == 1
+    assert rep.columns == rep.identity_dim == 81 and not rep.equal
+    ref = kron_evaluate(full[0]).matrix
+    assert ref == Matrix.identity(f, 81).scale(2)
+    i, j, a, b = ref.first_difference(Matrix.identity(f, 81))
+    assert rep.mismatch == {"row": i, "col": j, "got": f.format(a), "expected": f.format(b)}
 
 
 def test_regular_row_memory_follows_generator_columns():

@@ -42,6 +42,33 @@ def test_index_out_of_range(z2):
     assert "out of range" in str(err.value)
 
 
+@pytest.mark.parametrize("kind, key, value, message", [
+    ("algebra", ("mult", 0), [True, 0, 0, "1"], "mult\\[0\\]: index True out of range"),
+    ("algebra", ("antipode", 0), [0, False, "1"], "antipode\\[0\\]: index False out of range"),
+    ("algebra", ("dim",), True, "dim: expected a positive integer, got True"),
+    ("algebra", ("field",), {"kind": "cyclotomic", "n": True},
+     "conductor True must be a positive integer"),
+    ("module", ("action", 0), [0, True, 0, "1"], "action\\[0\\]: index True out of range"),
+    ("module", ("dim",), True, "module dim: expected a count, got True"),
+], ids=["mult-index", "antipode-index", "dim", "conductor", "module-index", "module-dim"])
+def test_json_booleans_are_not_integers(h4, kind, key, value, message):
+    """``isinstance(True, int)`` holds in Python, so the loaders reject a JSON
+    boolean where an integer belongs instead of reading it as 1 or 0."""
+    from hopfchrom import module_from_dict, module_to_dict, regular_module
+
+    data = algebra_to_dict(h4) if kind == "algebra" else module_to_dict(regular_module(h4))
+    *path, last = key
+    node = data
+    for k in path:
+        node = node[k]
+    node[last] = value
+    with pytest.raises(FileFormatError, match=message):
+        if kind == "algebra":
+            algebra_from_dict(data)
+        else:
+            module_from_dict(data, H=h4)
+
+
 def test_missing_key(z2):
     data = algebra_to_dict(z2)
     del data["antipode"]
