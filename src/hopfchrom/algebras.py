@@ -240,11 +240,13 @@ def small_quantum_sl2(n: int, field: Field, name: str | None = None) -> HopfAlge
     zero = field.zero
     one = field.one
 
-    def qpow(m: int):
-        return field.pow(q, m % n)
+    powers = [field.pow(q, k) for k in range(n)]
 
-    def qint(m: int):  # [m]_q = (q^m - q^{-m}) / (q - q^{-1})
-        return field.mul(field.sub(qpow(m), qpow(-m)), lam_inv)
+    def qpow(m: int):
+        return powers[m % n]
+
+    # [m]_q = (q^m - q^{-m}) / (q - q^{-1}) for 0 <= m < n
+    qint = [field.mul(field.sub(qpow(m), qpow(-m)), lam_inv) for m in range(n)]
 
     def idx(a, b, c):
         return (a * n + b) * n + c
@@ -266,7 +268,7 @@ def small_quantum_sl2(n: int, field: Field, name: str | None = None) -> HopfAlge
                 if c + 1 < n:
                     yield (a, b, c + 1), field.mul(v, qpow(-2 * b))
                 if a > 0:
-                    w = field.mul(v, qint(a))
+                    w = field.mul(v, qint[a])
                     yield (a - 1, (b + 1) % n, c), field.mul(w, qpow(-(a - 1)))
                     yield (a - 1, (b - 1) % n, c), field.neg(field.mul(w, qpow(a - 1)))
 

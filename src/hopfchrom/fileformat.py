@@ -116,12 +116,17 @@ def algebra_from_dict(data: dict) -> HopfAlgebra:
     names = data["basis_names"]
     if not isinstance(names, list) or len(names) != dim:
         raise FileFormatError(f"basis_names: expected {dim} names")
+    for i, b in enumerate(names):
+        if not isinstance(b, str):
+            raise FileFormatError(f"basis_names[{i}]: name must be a string, got {b!r}")
+    name = data.get("name", "file-algebra")
+    if not isinstance(name, str):
+        raise FileFormatError(f"name: expected a string, got {name!r}")
     unit = _parse_vector(field, data["unit"], dim, "unit")
     counit = _parse_vector(field, data["counit"], dim, "counit")
     mult = _parse_triplets(field, data["mult"], dim, 3, "mult")
     comult = _parse_triplets(field, data["comult"], dim, 3, "comult")
     antipode = _parse_triplets(field, data["antipode"], dim, 2, "antipode")
-    name = data.get("name", "file-algebra")
     return hopf_make(field, names, mult, unit, comult, counit, antipode, name=name)
 
 

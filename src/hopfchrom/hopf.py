@@ -24,7 +24,7 @@ Tensor legs are flattened row-major and left-nested: ``(i, j) -> i*n + j``.
 from __future__ import annotations
 
 from .fields import Field
-from .linalg import Matrix, SingularMatrixError, sparse_sum
+from .linalg import Matrix, SingularMatrixError, _Echelon, sparse_sum
 
 __all__ = [
     "HopfAlgebra",
@@ -150,7 +150,8 @@ class HopfAlgebra:
     def left_mult_matrix(self, i: int) -> Matrix:
         """Matrix of ``v -> e_i v``."""
         if self._left_mult[i] is None:
-            self._left_mult[i] = _left_mult_matrix(self.field, self.mult, i)
+            entries = {(k, j): c for j, col in enumerate(self.mult[i]) for k, c in col.items()}
+            self._left_mult[i] = Matrix.from_entries(self.field, self.dim, self.dim, entries)
         return self._left_mult[i]
 
     def right_mult_matrix(self, j: int) -> Matrix:
@@ -278,31 +279,33 @@ def _sparse_structure(field, dim: int, mult, comult, antipode):
     return sm, sc, Matrix.from_entries(field, dim, dim, summed(antipode, 2, "antipode"))
 
 
-def _left_mult_matrix(field, mult, i: int) -> Matrix:
-    """Matrix of ``v -> e_i v`` for a sparse ``mult``."""
-    entries = {(k, j): c for j, col in enumerate(mult[i]) for k, c in col.items()}
-    return Matrix.from_entries(field, len(mult), len(mult), entries)
-
-
 def _algebra_generators(field, mult, unit) -> tuple:
     """Basis indices whose right-nested words ``g_1 (g_2 (... (g_k 1)))`` span
-    the algebra ``mult``: a greedy pass keeps ``e_k`` when it enlarges the span
-    of these words, closes the span under left multiplication by the kept
-    elements, and stops at rank ``n``, reached when 1 is a unit (``e_k 1 = e_k``)."""
+    the algebra ``mult``: a greedy pass keeps ``e_k`` when it is not in the
+    span of these words, and stops at rank ``n``, reached when 1 is a unit
+    (``e_k 1 = e_k``).  The span is spun in one echelon basis: each word that
+    raises the rank is multiplied on the left by every kept generator, and a
+    newly kept ``e_k`` by every word found so far, so each product is reduced
+    once.  A zero unit makes every word zero, so it keeps no generator."""
     n = len(mult)
-    gens, left, span = [], {}, [list(unit)]
+    zero, one = field.zero, field.one
+    ech = _Echelon(field, n)
+    words = [{i: v for i, v in enumerate(unit) if v != zero}]
+    if not ech.insert(words[0]):
+        return ()
+    gens = []
     for k in range(n):
-        e_k = [field.one if i == k else field.zero for i in range(n)]
-        if len(span) == n or Matrix.from_rows(field, span + [e_k]).rank() == len(span):
+        if ech.full() or not ech.reduce({k: one}):
             continue
         gens.append(k)
-        left[k] = _left_mult_matrix(field, mult, k)
-        while True:  # close the span under left multiplication by gens
-            R, rank, _ = Matrix.from_rows(field, span + [
-                left[g].apply(v) for g in gens for v in span]).rref()
-            if rank == len(span):
-                break
-            span = [R.row_list(i) for i in range(rank)]
+        todo = [(k, w) for w in words]
+        while todo and not ech.full():
+            g, w = todo.pop()
+            v = sparse_sum(field, ((r, field.mul(x, c)) for i, x in w.items()
+                                   for r, c in mult[g][i].items()))
+            if ech.insert(v):
+                words.append(v)
+                todo.extend((h, v) for h in gens)
     return tuple(gens)
 
 

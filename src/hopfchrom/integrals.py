@@ -68,10 +68,10 @@ class PivotData:
     g: list
 
 
-def _eigen_space(H: HopfAlgebra, mult_matrix, chi: list) -> Matrix:
-    """Basis of ``{x in H : mult_matrix(i) x = chi(e_i) x for all i}``."""
+def _eigen_space(H: HopfAlgebra, mult_matrix, chi: list, indices) -> Matrix:
+    """Basis of ``{x in H : mult_matrix(i) x = chi(e_i) x for all i in indices}``."""
     ident = Matrix.identity(H.field, H.dim)
-    return stacked_nullspace([mult_matrix(i) - ident.scale(chi[i]) for i in range(H.dim)])
+    return stacked_nullspace([mult_matrix(i) - ident.scale(chi[i]) for i in indices])
 
 
 def _line(H: HopfAlgebra, basis: Matrix, what: str) -> Matrix:
@@ -85,9 +85,17 @@ def _line(H: HopfAlgebra, basis: Matrix, what: str) -> Matrix:
 
 
 def cointegral_space(H: HopfAlgebra, side: str) -> Matrix:
-    """Basis (one column) of left or right cointegrals in H."""
+    """Basis (one column) of left or right cointegrals in H.
+
+    The conditions h Lambda = eps(h) Lambda (left) and Lambda h = eps(h)
+    Lambda (right) are stacked over the algebra generators only (``(0,)``,
+    the unit, for H = k): the h meeting either form a subalgebra containing
+    1, since eps is an algebra map, so the kernel and its canonical basis
+    are those of every basis h.
+    """
     mult = H.left_mult_matrix if side == "left" else H.right_mult_matrix
-    return _line(H, _eigen_space(H, mult, H.counit), f"{side} cointegral")
+    return _line(H, _eigen_space(H, mult, H.counit, H.algebra_generators() or (0,)),
+                 f"{side} cointegral")
 
 
 def _dual_regular_matrices(H: HopfAlgebra, side: str) -> list[Matrix]:
@@ -112,12 +120,13 @@ def integral_space(H: HopfAlgebra, side: str) -> Matrix:
     lambda (left).
     """
     mats = _dual_regular_matrices(H, side)
-    return _line(H, _eigen_space(H, mats.__getitem__, H.unit), f"{side} integral")
+    return _line(H, _eigen_space(H, mats.__getitem__, H.unit, range(H.dim)),
+                 f"{side} integral")
 
 
 def alpha_left_ideal(H: HopfAlgebra, alpha: list) -> Matrix:
     """Basis of ``{x in H : h x = alpha(h) x for all h}``."""
-    return _eigen_space(H, H.left_mult_matrix, alpha)
+    return _eigen_space(H, H.left_mult_matrix, alpha, range(H.dim))
 
 
 def _lambda_legs(H: HopfAlgebra, lam: list, k: int) -> tuple[list, list]:
@@ -366,12 +375,13 @@ def _is_pivot(H: HopfAlgebra, v: list) -> bool:
 
 
 def _intertwiner_space(H: HopfAlgebra) -> Matrix:
-    """Nullspace of ``S^2(h) v = v h`` over all basis h."""
+    """Nullspace of ``S^2(h) v = v h`` over all h, stacked over the algebra
+    generators only (``(0,)``, the unit, for H = k): S^2 is an algebra map,
+    so the h meeting it form a subalgebra containing 1, and the kernel and
+    its canonical basis are those of every basis h."""
     S2 = H.antipode_squared()
-    blocks = []
-    for i in range(H.dim):
-        blocks.append(H.element_left_mult(S2.col_list(i)) - H.right_mult_matrix(i))
-    return stacked_nullspace(blocks)
+    return stacked_nullspace([H.element_left_mult(S2.col_list(i)) - H.right_mult_matrix(i)
+                              for i in H.algebra_generators() or (0,)])
 
 
 def _grouplike_space(W: Matrix, eps: list):

@@ -7,10 +7,14 @@ tensor legs.
 
 Matrices have dense semantics (every entry addressable, shapes fixed) but are
 held sparsely as one ``{col: payload}`` dict per row; only nonzero payloads
-are stored.  All algorithms are field-exact and deterministic: Gaussian
-elimination pivots on the first nonzero entry of each column, and nullspace
-bases are the canonical free-variable unit vectors with back-substituted
-pivot coordinates, so results are reproducible byte for byte.
+are stored.  All algorithms are field-exact and deterministic.  Elimination
+inserts rows one at a time into a reduced echelon basis (``_Echelon``): a
+row is reduced only at the pivot columns it holds, and empty rows cost
+nothing.  The reduced row echelon form of a row space is unique, so R, the
+rank and the pivot columns are those of column-by-column Gauss-Jordan
+elimination, and nullspace bases are the canonical free-variable unit
+vectors with back-substituted pivot coordinates: results are reproducible
+byte for byte.
 """
 
 from __future__ import annotations
@@ -319,66 +323,33 @@ class Matrix:
 
     # -- elimination ---------------------------------------------------------
     def rref(self):
-        """Reduced row echelon form: ``(R, rank, pivot_columns)``."""
-        f = self.field
-        zero, one = f.zero, f.one
-        rows = [dict(r) for r in self._rows]
-        pivots = []
-        pr = 0  # next pivot row
-        for col in range(self.ncols):
-            # first row at or below pr with a nonzero entry in this column
-            sel = None
-            for i in range(pr, self.nrows):
-                if rows[i].get(col, zero) != zero:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            rows[pr], rows[sel] = rows[sel], rows[pr]
-            prow = rows[pr]
-            pv = prow[col]
-            if pv != one:
-                c = f.inv(pv)
-                prow = {j: f.mul(c, v) for j, v in prow.items()}
-                rows[pr] = prow
-            for i in range(self.nrows):
-                if i == pr:
-                    continue
-                r = rows[i]
-                factor = r.get(col, zero)
-                if factor == zero:
-                    continue
-                for j, v in prow.items():
-                    t = f.sub(r.get(j, zero), f.mul(factor, v))
-                    if t == zero:
-                        r.pop(j, None)
-                    else:
-                        r[j] = t
-            pivots.append(col)
-            pr += 1
-            if pr == self.nrows:
-                break
-        return Matrix(f, self.nrows, self.ncols, rows), pr, tuple(pivots)
+        """Reduced row echelon form: ``(R, rank, pivot_columns)``, the rows
+        inserted one by one into an :class:`_Echelon`."""
+        ech = _Echelon(self.field, self.ncols)
+        for row in self._rows:
+            ech.insert(row)
+        pivots = sorted(ech.rows)
+        rows = [ech.rows[c] for c in pivots] + [{} for _ in range(self.nrows - len(pivots))]
+        return Matrix(self.field, self.nrows, self.ncols, rows), len(pivots), tuple(pivots)
 
     def rank(self) -> int:
         return self.rref()[1]
 
     def nullspace(self) -> "Matrix":
-        """Columns form the canonical basis of ``{v : Av = 0}``."""
+        """Columns form the canonical basis of ``{v : Av = 0}``: one per free
+        column j, 1 at j and minus column j of R at the pivots."""
         f = self.field
-        R, rank, pivots = self.rref()
+        R, _, pivots = self.rref()
         pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
-        cols = []
-        for j in free:
-            v = [f.zero] * self.ncols
-            v[j] = f.one
-            for r, pc in enumerate(pivots):
-                v[pc] = f.neg(R.entry(r, j))
-            cols.append(v)
-        if not cols:
-            return Matrix.zeros(f, self.ncols, 0)
-        return Matrix.from_columns(f, cols)
+        slot = {j: t for t, j in enumerate(j for j in range(self.ncols) if j not in pivot_set)}
+        rows = [{} for _ in range(self.ncols)]
+        for j, t in slot.items():
+            rows[j][t] = f.one
+        for pc, prow in zip(pivots, R._rows):
+            for j, v in prow.items():
+                if j != pc:
+                    rows[pc][slot[j]] = f.neg(v)
+        return Matrix(f, self.ncols, len(slot), rows)
 
     def solve(self, b: list) -> list:
         """One exact solution of ``Ax = b`` with free variables set to zero."""
@@ -419,9 +390,70 @@ class Matrix:
             raise SingularMatrixError("singular matrix") from None
 
 
+def _subtract(field: Field, r: dict, factor, row: dict):
+    """``r -= factor * row`` in place, dropping the entries that vanish."""
+    sub, mul, zero = field.sub, field.mul, field.zero
+    for j, v in row.items():
+        t = sub(r.get(j, zero), mul(factor, v))
+        if t == zero:
+            r.pop(j, None)
+        else:
+            r[j] = t
+
+
+class _Echelon:
+    """A row space kept in reduced echelon form as rows are inserted.
+
+    ``rows`` maps each pivot column to its row, which holds 1 there and 0 at
+    every other pivot.  A new row is reduced only at the pivots it holds; if
+    it is left nonzero, it is scaled to 1 at its first column, which becomes
+    a pivot cleared from the kept rows.  Each kept row then leads with its
+    pivot, so sorted by pivot they are the reduced row echelon form of the
+    rows inserted, in any order: that form is unique.  The rows a caller
+    passes in are never modified.
+    """
+
+    def __init__(self, field: Field, ncols: int):
+        self.field, self.ncols, self.rows = field, ncols, {}
+
+    def full(self) -> bool:
+        return len(self.rows) == self.ncols
+
+    def reduce(self, row: dict) -> dict:
+        """``row`` minus its multiples of the kept rows, zero at every pivot;
+        ``row`` itself when it holds no pivot."""
+        hits = [c for c in row if c in self.rows]
+        r = dict(row) if hits else row
+        for c in hits:  # the kept rows are 0 at each other's pivots
+            _subtract(self.field, r, r[c], self.rows[c])
+        return r
+
+    def insert(self, row: dict) -> bool:
+        """Add ``row`` to the space; True when it raised the rank.  Once the
+        rank is ``ncols`` every row is in the space and is not looked at."""
+        if not row or self.full():
+            return False
+        r = self.reduce(row)
+        if not r:
+            return False
+        f, col = self.field, min(r)
+        if r[col] != f.one:
+            c = f.inv(r[col])
+            r = {j: f.mul(c, v) for j, v in r.items()}
+        elif r is row:
+            r = dict(row)
+        for prow in self.rows.values():
+            if col in prow:
+                _subtract(f, prow, prow[col], r)
+        self.rows[col] = r
+        return True
+
+
 def stacked_nullspace(blocks: list[Matrix]) -> Matrix:
-    """Nullspace of the blocks stacked row-wise: the common kernel."""
-    rows = [dict(r) for b in blocks for r in b._rows]
+    """Nullspace of the blocks stacked row-wise: the common kernel.  The
+    blocks' rows are stacked as they are; ``rref`` copies only the rows it
+    keeps."""
+    rows = [r for b in blocks for r in b._rows]
     return Matrix(blocks[0].field, len(rows), blocks[0].ncols, rows).nullspace()
 
 

@@ -11,8 +11,10 @@ generator columns, the lambda-loop pivot conditions, the reference for
 ``integrals._pivot_condition_failures``, the right chromatic map
 transported from the left map of H^cop, the reference for
 ``chromatic_right_hopf``, and the iterated coproduct expanded on the last
-leg, the reference for ``HopfAlgebra.coproduct_iter``, and the permutation
-matrices those references build."""
+leg, the reference for ``HopfAlgebra.coproduct_iter``, the permutation
+matrices those references build, column-scan Gauss-Jordan elimination, the
+reference for ``Matrix.rref``, and the greedy generator pass that re-reduces
+the whole span each round, the reference for ``hopf._algebra_generators``."""
 
 from __future__ import annotations
 
@@ -459,3 +461,66 @@ def axiom_violated(field, tensors: dict, axiom: str) -> bool:
     if axiom == "antipode-invertibility":
         return _naive_rank(field, antipode) < n
     raise ValueError(f"unknown axiom {axiom!r}")
+
+
+def gauss_jordan_reference(A: Matrix):
+    """``(R, rank, pivots)`` of ``A`` by column-scan Gauss-Jordan elimination:
+    for each column, the first row at or below the next pivot row with a
+    nonzero entry there is swapped up, scaled to 1 and cleared from every
+    other row.  The reference for ``Matrix.rref``."""
+    f = A.field
+    zero, one = f.zero, f.one
+    rows = [dict(A._rows[i]) for i in range(A.nrows)]
+    pivots = []
+    pr = 0
+    for col in range(A.ncols):
+        sel = next((i for i in range(pr, A.nrows) if rows[i].get(col, zero) != zero), None)
+        if sel is None:
+            continue
+        rows[pr], rows[sel] = rows[sel], rows[pr]
+        pv = rows[pr][col]
+        if pv != one:
+            c = f.inv(pv)
+            rows[pr] = {j: f.mul(c, v) for j, v in rows[pr].items()}
+        prow = rows[pr]
+        for i in range(A.nrows):
+            factor = rows[i].get(col, zero)
+            if i == pr or factor == zero:
+                continue
+            for j, v in prow.items():
+                t = f.sub(rows[i].get(j, zero), f.mul(factor, v))
+                if t == zero:
+                    rows[i].pop(j, None)
+                else:
+                    rows[i][j] = t
+        pivots.append(col)
+        pr += 1
+        if pr == A.nrows:
+            break
+    return Matrix(f, A.nrows, A.ncols, rows), pr, tuple(pivots)
+
+
+def greedy_generators_reference(field, mult, unit) -> tuple:
+    """The greedy generator pass of ``hopf._algebra_generators`` as it first
+    ran: ``e_k`` is kept when it raises the rank of the span, and the span is
+    then re-reduced whole, with every product of a kept generator and a span
+    vector, until it stops growing."""
+    n = len(mult)
+    gens, left, span = [], {}, [list(unit)]
+
+    def rank(rows):
+        return gauss_jordan_reference(Matrix.from_rows(field, rows))
+
+    for k in range(n):
+        e_k = [field.one if i == k else field.zero for i in range(n)]
+        if len(span) == n or rank(span + [e_k])[1] == len(span):
+            continue
+        gens.append(k)
+        left[k] = Matrix.from_entries(field, n, n, {
+            (r, j): c for j, col in enumerate(mult[k]) for r, c in col.items()})
+        while True:
+            R, r, _ = rank(span + [left[g].apply(v) for g in gens for v in span])
+            if r == len(span):
+                break
+            span = [R.row_list(i) for i in range(r)]
+    return tuple(gens)

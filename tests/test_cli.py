@@ -63,6 +63,28 @@ def test_integrals_reports(capsys):
     assert json.loads(out)["unimodular"] is False
 
 
+def test_integrals_on_the_ground_field(capsys):
+    # k[Z1] has no algebra generators: its conditions are stacked over the unit
+    code, out, _ = run(capsys, "integrals", "--builtin", "group:Z1", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["left_cointegral"] == ["1"]
+    assert payload["pivot_search"] == "done"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("basis_names", [1, None, True, [2]], "basis_names[0]: name must be a string, got 1"),
+    ("name", {"a": 1}, "name: expected a string, got {'a': 1}"),
+], ids=["basis_names", "name"])
+def test_non_string_names_are_input_errors(capsys, tmp_path, key, value, message):
+    docs = pathlib.Path(__file__).resolve().parents[1] / "docs"
+    data = json.loads((docs / "sweedler_h4.json").read_text())
+    data[key] = value
+    path = tmp_path / "h4.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", str(path), "--json")
+    assert code == 2 and out == "" and f"input error: {message}" in err
+
+
 def test_chromatic_dump(capsys, tmp_path):
     out_path = tmp_path / "morphism.json"
     code, out, _ = run(capsys, "chromatic", "--builtin", "group:Z2",

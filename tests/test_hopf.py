@@ -6,6 +6,7 @@ from helpers import (
     axiom_violated,
     coproduct_iter_last,
     dense_tensors,
+    greedy_generators_reference,
     kron_comult_algebra_map_sides,
     kron_verify_axioms,
     mutate,
@@ -239,6 +240,21 @@ def test_axiom_suite_matches_kronecker_reference_on_every_mutant(corpus):
             assert got == want, f"{H.name}: {kind}{idx}"
 
 
+def test_generator_spin_matches_the_whole_span_greedy_pass(corpus):
+    """On the corpus, on every seventh single-entry mutant of it (a broken
+    unit included) and with a zero unit, whose words are all zero, the spin
+    keeps the generators the greedy pass that re-reduces the whole span each
+    round keeps."""
+    for H in corpus:
+        base = dense_tensors(H)
+        cases = [base, {**base, "unit": [H.field.zero] * H.dim}] + [
+            mutate(base, kind, idx, H.field) for kind, idx in list(_mutation_stream(H))[::7]]
+        for t in cases:
+            sm, unit, _, _, _ = _sparse_tensors(H, t)
+            assert (hopf_module._algebra_generators(H.field, sm, unit)
+                    == greedy_generators_reference(H.field, sm, unit)), H.name
+
+
 def test_composite_mutants_match_kronecker_reference(corpus):
     by_name = {H.name: H for H in corpus}
     # unit and associativity broken together: on the columns of the generators
@@ -248,6 +264,7 @@ def test_composite_mutants_match_kronecker_reference(corpus):
     t = mutate(mutate(dense_tensors(H), "unit", (0,), H.field), "mult", (1, 0, 1), H.field)
     sm, unit, _, _, _ = _sparse_tensors(H, t)
     assert hopf_module._algebra_generators(H.field, sm, unit) == (0,)
+    assert greedy_generators_reference(H.field, sm, unit) == (0,)
     got, want = _outcomes(H, t)
     assert got[0] == "associativity" and got == want
     # Delta(1) != 1 ox 1: dualgroup:Z2's algebra with the coassociative, counital

@@ -5,7 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import pivot_condition_failures_reference
+from helpers import (
+    gauss_jordan_reference,
+    greedy_generators_reference,
+    pivot_condition_failures_reference,
+)
 
 import hopfchrom.integrals as integrals_module
 from hopfchrom import (
@@ -24,7 +28,7 @@ from hopfchrom import (
     normalized_pair,
     pivot_candidates,
 )
-from hopfchrom.fields import _poly_mul
+from hopfchrom.fields import FieldError, _poly_mul
 from hopfchrom.hopf import pairing, vec_scale
 from hopfchrom.cli import _make_builtin, _parse_field
 from hopfchrom.integrals import (
@@ -62,6 +66,51 @@ def test_cointegral_spaces_h4(h4, Q):
     other = alpha_left_ideal(h4, d.alpha)
     assert other.ncols == 1
     assert _proportional(Q, other.col_list(0), right)
+
+
+def _every_basis_kernel(blocks):
+    """The canonical nullspace of the stacked blocks, eliminated by the
+    column-scan reference: the systems over every basis h."""
+    f, n = blocks[0].field, blocks[0].ncols
+    R, _, pivots = gauss_jordan_reference(
+        Matrix(f, sum(b.nrows for b in blocks), n, [r for b in blocks for r in b._rows]))
+    cols = []
+    for j in (j for j in range(n) if j not in pivots):
+        v = [f.zero] * n
+        v[j] = f.one
+        for r, pc in enumerate(pivots):
+            v[pc] = f.neg(R.entry(r, j))
+        cols.append(v)
+    return Matrix.from_columns(f, cols) if cols else Matrix.zeros(f, n, 0)
+
+
+BUILTINS = ("group:Z1", "group:Z2", "group:Z3", "group:S3", "group:S4", "dualgroup:Z2",
+            "dualgroup:Z3", "dualgroup:Z4", "dualgroup:S3", "dualgroup:S4", "sweedler",
+            "taft:3", "taft:4", "taft:5", "uqsl2:3")
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_generator_systems_equal_every_basis_systems(name):
+    """The cointegral and intertwiner conditions stacked over the algebra
+    generators give the kernels of the conditions over every basis h, and
+    the spin finds the generators the whole-span greedy pass found."""
+    built = 0
+    for spec in ("Q", "GF:7", "GF:11", "Cyc:3", "Cyc:4"):
+        try:
+            H = _make_builtin(name, _parse_field(spec))
+        except FieldError:
+            continue
+        built += 1
+        f, n = H.field, H.dim
+        assert H.algebra_generators() == greedy_generators_reference(f, H.mult, H.unit)
+        ident = Matrix.identity(f, n)
+        for side, mult in (("left", H.left_mult_matrix), ("right", H.right_mult_matrix)):
+            assert cointegral_space(H, side) == _every_basis_kernel(
+                [mult(i) - ident.scale(H.counit[i]) for i in range(n)])
+        S2 = H.antipode_squared()
+        assert _intertwiner_space(H) == _every_basis_kernel(
+            [H.element_left_mult(S2.col_list(i)) - H.right_mult_matrix(i) for i in range(n)])
+    assert built
 
 
 def test_integral_spaces(z2, h4, Q):

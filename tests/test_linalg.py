@@ -1,7 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
-from helpers import permutation_matrix
+from helpers import gauss_jordan_reference, permutation_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from hopfchrom.linalg import sparse_sum
 Q = field_make(FieldSpec("rationals"))
 F7 = field_make(FieldSpec("prime-field", p=7))
 C8 = field_make(FieldSpec("cyclotomic", n=8))
+C3 = field_make(FieldSpec("cyclotomic", n=3))
 
 
 def M(rows, field=Q):
@@ -246,3 +248,70 @@ def test_sparse_sum_matches_naive_dict_sum(data):
         got = sparse_sum(f, iter(terms))
         want = _naive_sum(f, terms)
         assert got == want and list(got) == list(want)
+
+
+def _random_rows(rng, field, nrows, ncols, density):
+    """Dense rows of small entries, each nonzero with probability ``density``;
+    over Q(zeta_3) an entry is a + b zeta."""
+    def entry():
+        if rng.random() >= density:
+            return 0
+        return [rng.randint(-3, 3), rng.randint(-3, 3)] if field is C3 else rng.randint(-3, 3)
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _shape(rng, field, kind):
+    def rows(r, c, d=0.5):
+        return Matrix.from_rows(field, _random_rows(rng, field, r, c, d))
+
+    if kind == "sparse":
+        return rows(7, 9, 0.2)
+    if kind == "tall":  # n^2 x n: n blocks B_i P sharing the kernel of P, rank P = 2
+        n, P = 4, rows(2, 4) if rng.random() < 0.5 else rows(4, 2) @ rows(2, 4)
+        blocks = [rows(4, P.nrows, 0.4) @ P for _ in range(n)]
+        return Matrix(field, n * n, n, [dict(r) for b in blocks for r in b._rows])
+    if kind == "wide":
+        return rows(3, 10, 0.6)
+    if kind == "zero":
+        return Matrix.zeros(field, 5, 4)
+    if kind == "deficient":  # rank at most 3
+        return rows(6, 3) @ rows(3, 6)
+    A, B = rows(6, 2) @ rows(2, 5), rows(6, 3)  # augmented [A | B]
+    return Matrix(field, 6, 8, [{**a, **{5 + j: v for j, v in b.items()}}
+                                for a, b in zip(A._rows, B._rows)])
+
+
+@pytest.mark.parametrize("field", [F7, Q, C3], ids=["GF7", "Q", "Qzeta3"])
+@pytest.mark.parametrize("kind", ["sparse", "tall", "wide", "zero", "deficient", "augmented"])
+def test_rref_matches_column_scan_gauss_jordan(field, kind):
+    """Row insertion gives the R, rank and pivots of column-by-column
+    Gauss-Jordan elimination, leaves its input alone, and its nullspace is
+    the annihilator of the row space."""
+    rng = random.Random(f"{field.spec}-{kind}")
+    for _ in range(12):
+        A = _shape(rng, field, kind)
+        before = [dict(r) for r in A._rows]
+        R, rank, pivots = A.rref()
+        ref_R, ref_rank, ref_pivots = gauss_jordan_reference(A)
+        assert R._rows == ref_R._rows and (rank, pivots) == (ref_rank, ref_pivots)
+        assert A._rows == before
+        N = A.nullspace()
+        assert A @ N == Matrix.zeros(field, A.nrows, N.ncols)
+        assert N.ncols == A.ncols - rank
+
+
+@pytest.mark.parametrize("field", [F7, Q, C3], ids=["GF7", "Q", "Qzeta3"])
+def test_solve_and_inverse_still_reject_singular_systems(field):
+    rng = random.Random(f"singular-{field.spec}")
+    for _ in range(6):
+        A = Matrix.from_rows(field, _random_rows(rng, field, 4, 3, 0.7)
+                             ) @ Matrix.from_rows(field, _random_rows(rng, field, 3, 4, 0.7))
+        with pytest.raises(SingularMatrixError):
+            A.inverse()
+        # a right-hand side outside the column space: a row of zeros in A
+        # facing a nonzero entry of B
+        Z = Matrix(field, 5, 4, [dict(r) for r in A._rows] + [{}])
+        with pytest.raises(NoSolutionError):
+            Z.solve_matrix(Matrix.from_entries(field, 5, 2, {(4, 1): 1}))
+        X = Matrix.from_rows(field, _random_rows(rng, field, 4, 2, 0.7))
+        assert A @ A.solve_matrix(A @ X) == A @ X
