@@ -303,15 +303,14 @@ class ExprEnv:
 
     def chromatic(self, side: str) -> Morphism:
         """The ``left``, ``right`` or ``spherical`` chromatic map based at H;
-        NotSphericalError when a spherical one is asked of a non-spherical H."""
+        NotSphericalError when a spherical one is asked of a non-spherical H,
+        and ValueError for any other side."""
         ch = self._chromatic
-        if side == "left":
-            return ch.chromatic_left_hopf(self.H)
-        if side == "right":
-            return ch.chromatic_right_hopf(self.H)
-        if self.pivot is None:
-            raise ch.NotSphericalError(f"{self.H.name} is not spherical")
-        return ch.chromatic_spherical(self.H, self.pivot)
+        makers = {"left": ch.chromatic_left_hopf, "right": ch.chromatic_right_hopf,
+                  "spherical": lambda H: ch.chromatic_spherical(H, self.pivot)}
+        if side not in makers:
+            raise ValueError(f"side must be left, right or spherical, got {side!r}")
+        return makers[side](self.H)
 
     def module(self, name: str) -> HModule:
         hm = self._hmod

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
-from .calculus import Prim, compose, evaluate, evaluate_rows, identity, tensor
+from .calculus import MorphismExpr, Prim, compose, evaluate, evaluate_rows, identity, tensor
 from .hmod import (
     HModule,
     Morphism,
@@ -37,6 +37,7 @@ from .hmod import (
     lambda_transform,
     pivotal_evaluation_morphisms,
     regular_module,
+    side_order,
     word_dim,
     words_match,
 )
@@ -248,25 +249,18 @@ def split_idempotent(e: Morphism) -> RetractFamily:
 
 def chromatic_retract(c: ChromaticMap, fam: RetractFamily) -> ChromaticMap:
     """Extend a chromatic map based at H to one based at P along a retract,
-    keeping c's side and pivot.
+    keeping c's side and pivot: sum_i (id ox g_i) c (id ox f_i) in ``side_order``.
 
     No intertwiner check runs here (a sum of composites of H-linear maps is
     H-linear); the retract decides its own ``h_linear`` once, on first use, as
     an independent check.
     """
-    P = fam.P
-    if c.side == "right":  # P is the first leg
-        kept_s, kept_t = c.source[1:], c.target[1:]
-        source, target = (P,) + kept_s, (P,) + kept_t
-        terms = [compose(tensor(Prim(gi), identity(kept_t)), Prim(c),
-                         tensor(Prim(fi), identity(kept_s)))
-                 for fi, gi in fam.maps]
-    else:  # left and spherical: P is the last leg
-        kept_s, kept_t = c.source[:-1], c.target[:-1]
-        source, target = kept_s + (P,), kept_t + (P,)
-        terms = [compose(tensor(identity(kept_t), Prim(gi)), Prim(c),
-                         tensor(identity(kept_s), Prim(fi)))
-                 for fi, gi in fam.maps]
+    o = partial(side_order, c.side)
+    kept_s, kept_t = o(*c.source)[:-1], o(*c.target)[:-1]  # in the side's order
+    terms = [compose(tensor(*o(identity(o(*kept_t)), Prim(gi))), Prim(c),
+                     tensor(*o(identity(o(*kept_s)), Prim(fi))))
+             for fi, gi in fam.maps]
+    source, target = o(*kept_s, fam.P), o(*kept_t, fam.P)
     f = c.H.field
     total = Matrix.combination(f, word_dim(target), word_dim(source),
                                ((f.one, evaluate(t).matrix) for t in terms))
@@ -301,15 +295,34 @@ class ChromaticReport:
         }
 
 
+def _composite(c: ChromaticMap, X: HModule) -> MorphismExpr:
+    """c's defining composite (id ox ev ox id) (Lambda ox id) (id ox c) (id ox coev ox id)
+    on X ox P, every tensor and word in ``side_order``: ev of G and coev of its dual D of
+    c's side; a spherical map's coev is the pivot-twisted coev~ of G."""
+    H, side = c.H, c.side
+    o = partial(side_order, side)
+    P, G = o(*c.source)[-1], regular_module(H)
+    dual = "right" if side == "right" else "left"
+    D = dual_module(G, dual)
+    coev = (pivotal_evaluation_morphisms(G, c.pivot.g) if side == "spherical"
+            else evaluation_morphisms(D, dual))[1]
+    return compose(
+        tensor(*o(identity(X), Prim(evaluation_morphisms(G, dual)[0]), identity(P))),
+        tensor(*o(Prim(lambda_transform(H, o(X, D), side)), identity(o(G, P)))),
+        tensor(*o(identity(o(X, D)), Prim(c))),
+        tensor(*o(identity(X), Prim(coev), identity(P))),
+    )
+
+
 def verify_chromatic_identity(c: ChromaticMap, X: HModule) -> ChromaticReport:
-    """Evaluate the defining composite for c's side and compare with the identity.
+    """Evaluate the defining composite for c's side (``_composite``) and
+    compare it with the identity.
 
     G is the regular module (the projective generator), and P is the leg
-    that c's side bases it at: the last one for left and spherical maps, the
-    first for right ones.  The composite is typed before it is applied, so a
-    map whose words do not fit its side raises MorphismTypeError, and it is
-    applied factor by factor, so no ``id ox f ox id`` over the four-leg word
-    is formed as a Kronecker product.
+    that c's side bases it at: the last one in ``side_order``.  The composite
+    is typed before it is applied, so a map whose words do not fit its side
+    raises MorphismTypeError, and it is applied factor by factor, so no
+    ``id ox f ox id`` over the four-leg word is formed as a Kronecker product.
 
     At X = H, when ``c.h_linear`` holds (a ``ChromaticMap`` decides its
     H-linearity once, on first use), the composite is H-linear (its other
@@ -326,41 +339,11 @@ def verify_chromatic_identity(c: ChromaticMap, X: HModule) -> ChromaticReport:
     """
     t0 = time.perf_counter()
     H, side = c.H, c.side
-    P = c.source[0] if side == "right" else c.source[-1]
-    G = regular_module(H)
-    if side == "left":
-        ev_g, _ = evaluation_morphisms(G, "left")
-        Gl = ev_g.source[0]
-        _, coev_gl = evaluation_morphisms(Gl, "left")
-        expr = compose(
-            tensor(identity((X,)), Prim(ev_g), identity((P,))),
-            tensor(Prim(lambda_transform(H, (X, Gl), "left")), identity((G, P))),
-            tensor(identity((X, Gl)), Prim(c)),
-            tensor(identity((X,)), Prim(coev_gl), identity((P,))),
-        )
-    elif side == "right":
-        evt_g, _ = evaluation_morphisms(G, "right")
-        Gr = evt_g.source[1]
-        _, coevt_gr = evaluation_morphisms(Gr, "right")
-        expr = compose(
-            tensor(identity((P,)), Prim(evt_g), identity((X,))),
-            tensor(identity((P, G)), Prim(lambda_transform(H, (Gr, X), "right"))),
-            tensor(Prim(c), identity((Gr, X))),
-            tensor(identity((P,)), Prim(coevt_gr), identity((X,))),
-        )
-    else:
-        ev_g, _ = evaluation_morphisms(G, "left")
-        Gl = ev_g.source[0]
-        _, coevt_piv = pivotal_evaluation_morphisms(G, c.pivot.g)
-        expr = compose(
-            tensor(identity((X,)), Prim(ev_g), identity((P,))),
-            tensor(Prim(lambda_transform(H, (X, Gl), "spherical")), Prim(c)),
-            tensor(identity((X,)), Prim(coevt_piv), identity((P,))),
-        )
-
+    P = side_order(side, *c.source)[-1]
+    expr = _composite(c, X)
     f, n = H.field, X.dim * P.dim
     rows = None
-    if X.same_as(G) and c.h_linear:
+    if X.same_as(regular_module(H)) and c.h_linear:
         # the free generators 1 ox p of X ox P, or p ox 1 of P ox X on the right
         sx, sp = (1, X.dim) if side == "right" else (P.dim, 1)
         rows = Matrix.from_entries(f, P.dim, n, {(p, i * sx + p * sp): u for p in range(P.dim)

@@ -82,21 +82,20 @@ def _parse_vector(field: Field, data, dim: int, where: str) -> list:
     return [_parse_scalar(field, s, f"{where}[{i}]") for i, s in enumerate(data)]
 
 
-def _parse_triplets(field: Field, data, dim: int, arity: int, where: str):
+def _parse_triplets(field: Field, data, bounds: tuple, where: str):
+    """Sparse entries ``[index, ..., scalar]``, one index below each bound."""
     if not isinstance(data, list):
         raise FileFormatError(f"{where}: expected a list of entries")
     out = []
     for pos, item in enumerate(data):
         label = f"{where}[{pos}]"
-        if not isinstance(item, list) or len(item) != arity + 1:
+        if not isinstance(item, list) or len(item) != len(bounds) + 1:
             raise FileFormatError(
-                f"{label}: expected [{', '.join('index' for _ in range(arity))}, scalar]"
-            )
-        idx = item[:arity]
-        for v in idx:
-            if isinstance(v, bool) or not isinstance(v, int) or not (0 <= v < dim):
-                raise FileFormatError(f"{label}: index {v!r} out of range 0..{dim - 1}")
-        out.append((*idx, _parse_scalar(field, item[arity], label)))
+                f"{label}: expected [{', '.join('index' for _ in bounds)}, scalar]")
+        for v, bound in zip(item, bounds):
+            if isinstance(v, bool) or not isinstance(v, int) or not (0 <= v < bound):
+                raise FileFormatError(f"{label}: index {v!r} out of range 0..{bound - 1}")
+        out.append((*item[:-1], _parse_scalar(field, item[-1], label)))
     return out
 
 
@@ -124,9 +123,9 @@ def algebra_from_dict(data: dict) -> HopfAlgebra:
         raise FileFormatError(f"name: expected a string, got {name!r}")
     unit = _parse_vector(field, data["unit"], dim, "unit")
     counit = _parse_vector(field, data["counit"], dim, "counit")
-    mult = _parse_triplets(field, data["mult"], dim, 3, "mult")
-    comult = _parse_triplets(field, data["comult"], dim, 3, "comult")
-    antipode = _parse_triplets(field, data["antipode"], dim, 2, "antipode")
+    mult = _parse_triplets(field, data["mult"], (dim,) * 3, "mult")
+    comult = _parse_triplets(field, data["comult"], (dim,) * 3, "comult")
+    antipode = _parse_triplets(field, data["antipode"], (dim,) * 2, "antipode")
     return hopf_make(field, names, mult, unit, comult, counit, antipode, name=name)
 
 
@@ -162,49 +161,46 @@ def module_from_dict(data: dict, H: HopfAlgebra | None = None):
         raise FileFormatError(f"module dim: expected a count, got {dim!r}")
     if dim > MAX_DIM ** 2:  # dim H ox H at the largest H
         raise FileFormatError(f"module dim: {dim} is above the bound of {MAX_DIM ** 2}")
+    label = data.get("label", "file-module")
+    if not isinstance(label, str):
+        raise FileFormatError(f"module label: expected a string, got {label!r}")
     if H is None:
         H = algebra_from_dict(data["algebra"])
     field = H.field
     terms = [[] for _ in range(H.dim)]
-    for pos, item in enumerate(data["action"]):
-        label = f"action[{pos}]"
-        if not isinstance(item, list) or len(item) != 4:
-            raise FileFormatError(f"{label}: expected [h, row, col, scalar]")
-        h, r, c = item[:3]
-        for v, bound in ((h, H.dim), (r, dim), (c, dim)):
-            if isinstance(v, bool) or not isinstance(v, int) or not (0 <= v < bound):
-                raise FileFormatError(f"{label}: index {v!r} out of range 0..{bound - 1}")
-        val = _parse_scalar(field, item[3], label)
+    for h, r, c, val in _parse_triplets(field, data["action"], (H.dim, dim, dim), "action"):
         terms[h].append(((r, c), val))
     action = [Matrix.from_entries(field, dim, dim, sparse_sum(field, t)) for t in terms]
-    return module_make(H, action, data.get("label", "file-module"))
+    return module_make(H, action, label)
+
+
+def _write_json(path: str, data: dict):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=1)
+        fh.write("\n")
+
+
+def _read_json(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text: {exc.reason}") from exc
 
 
 def save_module(M, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(module_to_dict(M), fh, indent=1)
-        fh.write("\n")
+    _write_json(path, module_to_dict(M))
 
 
 def load_module(path: str, H: HopfAlgebra | None = None):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return module_from_dict(data, H)
+    return module_from_dict(_read_json(path), H)
 
 
 def save_algebra(H: HopfAlgebra, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(algebra_to_dict(H), fh, indent=1)
-        fh.write("\n")
+    _write_json(path, algebra_to_dict(H))
 
 
 def load_algebra(path: str) -> HopfAlgebra:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return algebra_from_dict(data)
+    return algebra_from_dict(_read_json(path))

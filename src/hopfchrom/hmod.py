@@ -54,6 +54,7 @@ __all__ = [
     "word_action",
     "word_element_action",
     "words_match",
+    "side_order",
     "is_h_linear",
     "evaluation_morphisms",
     "pivotal_evaluation_morphisms",
@@ -203,6 +204,13 @@ def words_match(a, b) -> bool:
     return len(a) == len(b) and all(x.same_as(y) for x, y in zip(a, b))
 
 
+def side_order(side: str, *legs) -> tuple:
+    """The legs of a word in the order of ``side``: as written for ``left`` and
+    ``spherical``, reversed for ``right``, whose notions are the left ones in
+    the reversed tensor product C^rev (EGNO, *Tensor Categories*, 2015, 2.1)."""
+    return legs[::-1] if side == "right" else legs
+
+
 def word_action(H: HopfAlgebra, word, k: int) -> Matrix:
     """Action of basis element ``e_k`` on a tensor word: ``word_element_action``
     at ``e_k``, reading a single module's stored action matrix directly."""
@@ -302,20 +310,18 @@ def is_h_linear(mor: Morphism) -> bool:
 
 
 def evaluation_morphisms(M: HModule, side: str):
-    """(ev, coev) for M with its left dual, or (ev~, coev~) with its right dual.
-
-    left : ev : ldM ox M -> 1,  coev : 1 -> M ox ldM;
-    right: ev~: M ox rdM -> 1,  coev~: 1 -> rdM ox M;  all pairings are the
+    """(ev, coev) for M with its left dual, or (ev~, coev~) with its right dual:
+    ev : o(D, M) -> 1 and coev : 1 -> o(M, D) for D the dual of that side and
+    o = ``side_order``, so the right pair is the left one with its legs
+    mirrored (ev~: M ox rdM -> 1, coev~: 1 -> rdM ox M).  All pairings are the
     canonical ones ev(phi ox m) = phi(m) = ev~(m ox phi).
     """
     f = M.H.field
     d = M.dim
     D = dual_module(M, side)
     pair_row = Matrix.from_entries(f, 1, d * d, {(0, i * d + i): f.one for i in range(d)})
-    pair_col = pair_row.transpose()
-    if side == "left":
-        return Morphism((D, M), (), pair_row), Morphism((), (M, D), pair_col)
-    return Morphism((M, D), (), pair_row), Morphism((), (D, M), pair_col)
+    return (Morphism(side_order(side, D, M), (), pair_row),
+            Morphism((), side_order(side, M, D), pair_row.transpose()))
 
 
 def pivotal_evaluation_morphisms(M: HModule, g: list):

@@ -13,8 +13,10 @@ transported from the left map of H^cop, the reference for
 ``chromatic_right_hopf``, and the iterated coproduct expanded on the last
 leg, the reference for ``HopfAlgebra.coproduct_iter``, the permutation
 matrices those references build, column-scan Gauss-Jordan elimination, the
-reference for ``Matrix.rref``, and the greedy generator pass that re-reduces
-the whole span each round, the reference for ``hopf._algebra_generators``."""
+reference for ``Matrix.rref``, the greedy generator pass that re-reduces
+the whole span each round, the reference for ``hopf._algebra_generators``,
+and the defining composites and retracts typed out by hand for each side,
+the references for ``chromatic._composite`` and ``chromatic_retract``."""
 
 from __future__ import annotations
 
@@ -28,8 +30,17 @@ from hopfchrom import (
     MorphismTypeError,
     normalized_pair,
 )
-from hopfchrom.calculus import Compose, Ident, Prim, Tensor
-from hopfchrom.hmod import _as_word, word_dim, word_label, words_match
+from hopfchrom.calculus import Compose, Ident, Prim, Tensor, compose, identity, tensor
+from hopfchrom.hmod import (
+    _as_word,
+    evaluation_morphisms,
+    lambda_transform,
+    pivotal_evaluation_morphisms,
+    regular_module,
+    word_dim,
+    word_label,
+    words_match,
+)
 from hopfchrom.hopf import _decode, _delta_products, pairing, vec_scale
 from hopfchrom.linalg import SingularMatrixError
 
@@ -524,3 +535,63 @@ def greedy_generators_reference(field, mult, unit) -> tuple:
                 break
             span = [R.row_list(i) for i in range(r)]
     return tuple(gens)
+
+
+def defining_composite_reference(c, X):
+    """The defining composite of c's side on X ox P, one hand-typed four-leg
+    composite per side (three factors for the spherical one, whose Lambda and
+    c act side by side): the reference for ``chromatic._composite``."""
+    H, side = c.H, c.side
+    P = c.source[0] if side == "right" else c.source[-1]
+    G = regular_module(H)
+    if side == "left":
+        ev_g, _ = evaluation_morphisms(G, "left")
+        Gl = ev_g.source[0]
+        _, coev_gl = evaluation_morphisms(Gl, "left")
+        return compose(
+            tensor(identity((X,)), Prim(ev_g), identity((P,))),
+            tensor(Prim(lambda_transform(H, (X, Gl), "left")), identity((G, P))),
+            tensor(identity((X, Gl)), Prim(c)),
+            tensor(identity((X,)), Prim(coev_gl), identity((P,))),
+        )
+    if side == "right":
+        evt_g, _ = evaluation_morphisms(G, "right")
+        Gr = evt_g.source[1]
+        _, coevt_gr = evaluation_morphisms(Gr, "right")
+        return compose(
+            tensor(identity((P,)), Prim(evt_g), identity((X,))),
+            tensor(identity((P, G)), Prim(lambda_transform(H, (Gr, X), "right"))),
+            tensor(Prim(c), identity((Gr, X))),
+            tensor(identity((P,)), Prim(coevt_gr), identity((X,))),
+        )
+    ev_g, _ = evaluation_morphisms(G, "left")
+    Gl = ev_g.source[0]
+    _, coevt_piv = pivotal_evaluation_morphisms(G, c.pivot.g)
+    return compose(
+        tensor(identity((X,)), Prim(ev_g), identity((P,))),
+        tensor(Prim(lambda_transform(H, (X, Gl), "spherical")), Prim(c)),
+        tensor(identity((X,)), Prim(coevt_piv), identity((P,))),
+    )
+
+
+def retract_reference(c, fam) -> Morphism:
+    """sum_i (id ox g_i) c (id ox f_i) with P the first leg of a right map's
+    words and the last of a left or spherical one's, each term by Kronecker
+    products: the reference for ``chromatic_retract``."""
+    P = fam.P
+    if c.side == "right":
+        kept_s, kept_t = c.source[1:], c.target[1:]
+        source, target = (P,) + kept_s, (P,) + kept_t
+        terms = [compose(tensor(Prim(gi), identity(kept_t)), Prim(c),
+                         tensor(Prim(fi), identity(kept_s)))
+                 for fi, gi in fam.maps]
+    else:
+        kept_s, kept_t = c.source[:-1], c.target[:-1]
+        source, target = kept_s + (P,), kept_t + (P,)
+        terms = [compose(tensor(identity(kept_t), Prim(gi)), Prim(c),
+                         tensor(identity(kept_s), Prim(fi)))
+                 for fi, gi in fam.maps]
+    total = Matrix.zeros(c.H.field, word_dim(target), word_dim(source))
+    for t in terms:
+        total = total + kron_evaluate(t).matrix
+    return Morphism(source, target, total)

@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 from hopfchrom import (
     ExprEnv,
     ExprSyntaxError,
+    FieldSpec,
     Matrix,
     Morphism,
     MorphismTypeError,
     evaluate,
+    field_make,
     morphisms_equal,
     parse_expr,
     regular_module,
+    taft,
     trivial_module,
 )
 from hopfchrom.calculus import Compose, Ident, Prim, Tensor, compose, identity, tensor
@@ -184,6 +187,24 @@ def test_parse_expr_right_identity_and_spherical(z2):
     got = evaluate(parse_expr("cSph", env))
     want = chromatic_spherical(z2, env.pivot)
     assert got.matrix == want.matrix
+    # the right identity at X = H over Q(zeta_3), Lambda-transformation included,
+    # decided on every column
+    t3 = taft(3, field_make(FieldSpec("cyclotomic", n=3)))
+    env = ExprEnv(t3)
+    lhs = parse_expr(
+        "id(H)*evt(H)*id(H) ; id(H,H)*lamR(rd(H),H) ;"
+        " cR*id(rd(H),H) ; id(H)*coevt(rd(H))*id(H)", env)
+    assert morphisms_equal(evaluate(lhs), evaluate(parse_expr("id(H,H)", env)))
+
+
+@pytest.mark.parametrize("side", ["Left", "", "both", "all", None])
+def test_expr_env_rejects_an_unknown_side(z2, side):
+    """Only left, right and spherical name a chromatic map; any other side is
+    an error, not the spherical map."""
+    env = ExprEnv(z2)
+    with pytest.raises(ValueError, match="side must be left, right or spherical"):
+        env.chromatic(side)
+    assert env.chromatic("spherical").side == "spherical"
 
 
 def _random_tree(draw, mods, source, depth):

@@ -48,6 +48,14 @@ def test_verify_parse_error_exit_2(capsys, tmp_path, z2):
     assert code == 2 and "unit[0]" in err
 
 
+def test_non_utf8_file_is_an_input_error(capsys, tmp_path):
+    """A file that is not UTF-8 text exits 2, not 1 with a UnicodeDecodeError."""
+    path = tmp_path / "binary.json"
+    path.write_bytes(b'{"dim": \xd0\x00\xff}')
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2 and "not UTF-8 text" in err
+
+
 def test_integrals_reports(capsys):
     code, out, _ = run(capsys, "integrals", "--builtin", "sweedler", "--json")
     assert code == 0

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -148,6 +149,21 @@ def test_module_file_validation(h4):
     data["action"] = data["action"][1:]  # drop one entry: action axiom breaks
     with pytest.raises(ModuleAxiomError):
         module_from_dict(data)
+    # a non-list action, a malformed or out-of-range entry and a non-string
+    # label are input errors, read as the algebra's term lists are
+    good = module_to_dict(regular_module(h4))
+    for key, value, message in (
+            ("action", 5, "action: expected a list of entries"),
+            ("action", None, "action: expected a list of entries"),
+            ("action", [[0, 0, 0]], "action[0]: expected [index, index, index, scalar]"),
+            ("action", [[4, 0, 0, "1"]], "action[0]: index 4 out of range 0..3"),
+            ("action", [[0, 0, True, "1"]], "action[0]: index True out of range 0..3"),
+            ("action", [[0, 0, 0, 1]], "action[0]: scalar must be a string"),
+            ("label", 7, "module label: expected a string, got 7"),
+            ("label", ["a"], "module label: expected a string, got ['a']")):
+        with pytest.raises(FileFormatError, match=re.escape(message)):
+            module_from_dict({**good, key: value}, H=h4)
+    assert module_from_dict({**good, "label": "M"}, H=h4).label == "M"
 
 
 def test_module_action_entries_sum_and_cancel(h4):
